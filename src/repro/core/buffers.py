@@ -31,13 +31,22 @@ def locate_virtual_all(
     aliases: it lives at its identity position *and* as a halo image.
     Writers must update every alias; readers use the identity position,
     which kernel writes keep current.
+
+    Containment is separable, so the fitting shifts among ``(-n, 0, n)``
+    are found per dimension and their product taken, in product order,
+    rather than testing all 3^ndim shifted rects.
     """
-    candidates = []
-    offsets_per_dim = [(-s, 0, s) for s in datum_shape]
-    for offs in itertools.product(*offsets_per_dim):
-        cand = actual.shift(offs)
-        if buffer.rect.contains(cand):
-            candidates.append(cand)
+    if actual.empty:  # an empty region fits at every shift
+        fits = [(-s, 0, s) for s in datum_shape]
+    else:
+        fits = [
+            [o for o in (-s, 0, s)
+             if ext.begin <= iv.begin + o and iv.end + o <= ext.end]
+            for iv, ext, s in zip(
+                actual.intervals, buffer.rect.intervals, datum_shape
+            )
+        ]
+    candidates = [actual.shift(offs) for offs in itertools.product(*fits)]
     if not candidates:
         raise DeviceError(
             f"actual region {actual} maps to no virtual position in "
@@ -55,13 +64,3 @@ def locate_virtual(
     ``actual`` (the identity position when the region aliases)."""
     return locate_virtual_all(buffer, actual, datum_shape)[0]
 
-
-def holds_actual(
-    buffer: DeviceBuffer, actual: Rect, datum_shape: Sequence[int]
-) -> bool:
-    """Whether the buffer extent has space for actual region ``actual``."""
-    offsets_per_dim = [(-s, 0, s) for s in datum_shape]
-    return any(
-        buffer.rect.contains(actual.shift(offs))
-        for offs in itertools.product(*offsets_per_dim)
-    )

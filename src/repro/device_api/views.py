@@ -20,6 +20,7 @@ can observe, classify and report the violation with full context.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -79,6 +80,73 @@ class _Recording:
             self._recorder.record_write(self._rec_index, rect)
 
 
+@functools.lru_cache(maxsize=1024)
+def _resolve_dim(
+    begin: int, end: int, lo: int, hi: int, n: int,
+    boundary: Boundary, lenient: bool,
+) -> tuple[tuple[slice, ...], Optional[np.ndarray], Optional[int]]:
+    """Resolve window positions ``[begin, end)`` of one dimension (datum
+    extent ``n``) into a buffer covering virtual ``[lo, hi)``.
+
+    Each position maps to a buffer position, computed with numpy over
+    the ``arange`` of wanted positions:
+
+    * WRAP tries ``v``, ``v - n`` and ``v + n``, the in-datum (identity)
+      candidate first and the rest in that order; the first candidate
+      inside the buffer wins. Kernel writes and copies keep the identity
+      position current, while a halo image the buffer happens to retain
+      (e.g. after fault recovery grew a lone survivor's buffer to a full
+      period) may be stale: the analyzer plans no halo copies when a
+      device holds the whole dimension.
+    * CLAMP maps to the nearest in-datum position.
+    * ZERO/NO_CHECKS read in-datum positions directly and synthesize
+      zeros everywhere else.
+
+    Returns ``(runs, mask, unbacked)``: the buffer-local slices whose
+    concatenation yields the positions (one slice when they are a single
+    ascending run; a run moves as a block instead of element by
+    element), the mask of positions to zero-fill (``None`` if none), and
+    the first position with no backing data when strict resolution
+    fails (``None`` otherwise). The answer depends only on the
+    arguments, and steady-state kernels build the same windows on every
+    invocation, so it is memoized; the mask is read-only.
+    """
+    if begin == end:
+        return (slice(0, 0),), None, None
+    v = np.arange(begin, end)
+    if boundary is Boundary.WRAP:
+        below, above = v - n, v + n
+        in_below = (below >= 0) & (below < n)
+        in_above = (above >= 0) & (above < n)
+        cands = (
+            np.where(in_below, below, np.where(in_above, above, v)),
+            np.where(in_below | in_above, v, below),
+            np.where(in_above, below, above),
+        )
+    elif boundary is Boundary.CLAMP:
+        cands = (np.clip(v, 0, n - 1),)
+    else:  # ZERO / NO_CHECKS
+        cands = (np.where((v >= 0) & (v < n), v, lo - 1),)
+    pos = np.full(v.size, -1, dtype=np.int64)
+    for c in reversed(cands):  # the first fitting candidate wins
+        fits = (c >= lo) & (c < hi)
+        pos[fits] = c[fits] - lo
+    mask = pos < 0
+    if not mask.any():
+        mask = None
+    elif lenient or boundary in (Boundary.ZERO, Boundary.NO_CHECKS):
+        pos[mask] = 0
+        mask.flags.writeable = False
+    else:
+        return (), None, int(v[mask][0])
+    edges = [0, *(np.flatnonzero(np.diff(pos) != 1) + 1).tolist(), v.size]
+    runs = tuple(
+        slice(int(pos[a]), int(pos[a]) + b - a)
+        for a, b in zip(edges, edges[1:])
+    )
+    return runs, mask, None
+
+
 class WindowView(_Recording):
     """Neighborhood access for Window (ND) inputs.
 
@@ -105,6 +173,7 @@ class WindowView(_Recording):
         self._attach(recorder, index)
         self._buffer = buffer
         self._shape = tuple(datum.shape)
+        self._center_shape = self.center_rect.shape
         self._padded = self._gather(
             self.center_rect.expand(list(self.radius)), lenient=False
         )
@@ -112,76 +181,47 @@ class WindowView(_Recording):
     def _gather(self, want: Rect, lenient: bool) -> np.ndarray:
         """Materialize an arbitrary virtual-coordinate rect from the buffer.
 
-        Each position maps to a buffer position: directly where the
-        framework placed halo data; modularly when the buffer holds the
-        full period of a wrapped dimension; clamped to the nearest edge
-        under CLAMP; or to synthesized zeros under ZERO/NO_CHECKS. The
-        mapping is materialized as per-dimension index arrays and gathered
-        with successive ``np.take`` calls. Positions with no backing data
-        raise DeviceError — except in ``lenient`` (sanitize) mode, where
-        they resolve to zeros so the access can be recorded and reported
-        instead of aborting the kernel.
+        Each dimension is resolved on its own by :func:`_resolve_dim`
+        into runs of buffer positions. A dimension that resolves to one
+        ascending run is indexed with a basic slice; every other
+        dimension costs one ``np.concatenate`` of block slices. When
+        every dimension slices, the result is a zero-copy view of the
+        buffer, so the result is always read-only. Positions with no
+        backing data raise DeviceError, except in ``lenient`` (sanitize)
+        mode, where they resolve to zeros so the access can be recorded
+        and reported instead of aborting the kernel.
         """
         buffer = self._buffer
-        shape = self._shape
-        arr = buffer.view(buffer.rect)
         boundary = self.container.boundary
-        index_lists: list[np.ndarray] = []
-        zero_masks: list[np.ndarray] = []
-        for d in range(want.ndim):
-            lo, hi = buffer.rect[d].begin, buffer.rect[d].end
-            n = shape[d]
-            idxs = np.empty(want[d].size, dtype=np.int64)
-            mask = np.zeros(want[d].size, dtype=bool)
-            for i, v in enumerate(range(want[d].begin, want[d].end)):
-                pos: int | None = None
-                if boundary is Boundary.WRAP:
-                    # Prefer the in-datum (identity) position: kernel
-                    # writes and copies keep it current, while a halo
-                    # image the buffer happens to retain (e.g. after
-                    # fault recovery grew it to a full period) may be
-                    # stale — the analyzer plans no halo copies when a
-                    # device holds the whole dimension.
-                    cands = sorted(
-                        (v, v - n, v + n), key=lambda c: not 0 <= c < n
-                    )
-                    for cand in cands:
-                        if lo <= cand < hi:
-                            pos = cand - lo
-                            break
-                elif boundary is Boundary.CLAMP:
-                    c = min(max(v, 0), n - 1)
-                    if lo <= c < hi:
-                        pos = c - lo
-                else:  # ZERO / NO_CHECKS
-                    if 0 <= v < n and lo <= v < hi:
-                        pos = v - lo
-                    else:
-                        pos = 0
-                        mask[i] = True
-                if pos is None:
-                    if lenient:
-                        pos = 0
-                        mask[i] = True
-                    else:
-                        raise DeviceError(
-                            f"window position {v} (dim {d}) has no backing "
-                            f"data in buffer extent {buffer.rect} "
-                            f"(boundary {boundary.value})"
-                        )
-                idxs[i] = pos
-            index_lists.append(idxs)
-            zero_masks.append(mask)
-        out = arr
-        for d, idxs in enumerate(index_lists):
-            out = np.take(out, idxs, axis=d)
-        if any(m.any() for m in zero_masks):
-            out = out.copy()
-            for d, m in enumerate(zero_masks):
-                if m.any():
-                    sl = [slice(None)] * want.ndim
-                    sl[d] = m
-                    out[tuple(sl)] = 0
+        index: list[slice] = []
+        split: list[tuple[int, tuple[slice, ...]]] = []
+        zero_masks: list[tuple[int, np.ndarray]] = []
+        for d, (iv, ext, n) in enumerate(
+            zip(want.intervals, buffer.rect.intervals, self._shape)
+        ):
+            runs, mask, unbacked = _resolve_dim(
+                iv.begin, iv.end, ext.begin, ext.end, n, boundary, lenient
+            )
+            if unbacked is not None:
+                raise DeviceError(
+                    f"window position {unbacked} (dim {d}) has no backing "
+                    f"data in buffer extent {buffer.rect} "
+                    f"(boundary {boundary.value})"
+                )
+            if mask is None and len(runs) == 1:
+                index.append(runs[0])
+                continue
+            index.append(slice(None))
+            split.append((d, runs))
+            if mask is not None:
+                zero_masks.append((d, mask))
+        out = buffer.view(buffer.rect)[tuple(index)]
+        for d, runs in split:
+            head = (slice(None),) * d
+            out = np.concatenate([out[head + (run,)] for run in runs], axis=d)
+        for d, mask in zero_masks:
+            out[(slice(None),) * d + (mask,)] = 0
+        out.flags.writeable = False
         return out
 
     @property
@@ -193,15 +233,15 @@ class WindowView(_Recording):
 
     def offset(self, *offsets: int) -> np.ndarray:
         """The center-shaped region shifted by per-dimension offsets."""
-        if len(offsets) != self.center_rect.ndim:
+        radius = self.radius
+        if len(offsets) != len(radius):
             raise DeviceError(
                 f"offset needs {self.center_rect.ndim} components"
             )
-        over = any(
-            abs(off) > r for off, r in zip(offsets, self.radius)
-        )
-        want = self.center_rect.shift(list(offsets))
-        self._note_read(want)
+        over = any(abs(off) > r for off, r in zip(offsets, radius))
+        if over or self._recorder is not None:
+            want = self.center_rect.shift(list(offsets))
+            self._note_read(want)
         if over:
             if self._recorder is None:
                 d, off = next(
@@ -228,11 +268,10 @@ class WindowView(_Recording):
                 ),
             ))
             return self._gather(want, lenient=True)
-        slices = []
-        for d, off in enumerate(offsets):
-            start = self.radius[d] + off
-            slices.append(slice(start, start + self.center_rect.shape[d]))
-        return self._padded[tuple(slices)]
+        return self._padded[tuple(
+            slice(r + off, r + off + size)
+            for off, r, size in zip(offsets, radius, self._center_shape)
+        )]
 
     def neighborhood_sum(self, include_center: bool = False) -> np.ndarray:
         """Sum over the full window (minus the center unless requested) —
@@ -246,7 +285,10 @@ class WindowView(_Recording):
             if not include_center and all(o == 0 for o in offs):
                 continue
             v = self.offset(*offs)
-            acc = v.copy() if acc is None else acc + v
+            if acc is None:
+                acc = v.copy()
+            else:
+                acc += v
         if acc is None:
             acc = self.center().copy()
         return acc

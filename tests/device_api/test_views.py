@@ -24,9 +24,11 @@ from repro.patterns import (
     Boundary,
     ReductiveStatic,
     StructuredInjective,
+    Window1D,
     Window2D,
 )
 from repro.sim import SimNode
+from repro.sim.memory import DeviceBuffer
 from repro.utils.rect import Rect
 
 
@@ -127,6 +129,164 @@ class TestWindowView:
                     radius + dx : radius + 8 + dx,
                 ]
                 assert (w.offset(dy, dx) == ref).all()
+
+
+class TestReadOnlyWindows:
+    """A window may alias the device buffer (zero-copy slice), so kernels
+    must not be able to write through it."""
+
+    def test_writing_into_center_raises_and_buffer_is_unchanged(self):
+        data = np.arange(64, dtype=np.float32).reshape(8, 8)
+        w = make_window_view(
+            data, Rect((2, 6), (0, 8)), radius=0,
+            boundary=Boundary.NO_CHECKS,
+        )
+        # A zero-radius window is one ascending run in every dimension:
+        # the window is the device buffer itself, not a copy.
+        assert np.shares_memory(w.center(), w._buffer.data)
+        before = w._buffer.data.copy()
+        with pytest.raises(ValueError):
+            w.center()[...] = -1.0
+        assert (w._buffer.data == before).all()
+
+    def test_copied_windows_are_read_only_too(self):
+        data = np.arange(64, dtype=np.float32).reshape(8, 8)
+        w = make_window_view(data, Rect((2, 6), (0, 8)), boundary=WRAP)
+        with pytest.raises(ValueError):
+            w.offset(0, 1)[0, 0] = -1.0
+        total = w.neighborhood_sum()
+        total += 1  # results computed from windows are the kernel's own
+
+
+def _oracle_gather(buffer, shape, boundary, want, lenient):
+    """The per-element resolver ``WindowView._gather`` used to be: the
+    reference the vectorized resolution must match position for position.
+
+    Returns ``(values, zero_masks)``; raises DeviceError like the view.
+    """
+    arr = buffer.view(buffer.rect)
+    index_lists, zero_masks = [], []
+    for d in range(want.ndim):
+        lo, hi = buffer.rect[d].begin, buffer.rect[d].end
+        n = shape[d]
+        idxs = np.empty(want[d].size, dtype=np.int64)
+        mask = np.zeros(want[d].size, dtype=bool)
+        for i, v in enumerate(range(want[d].begin, want[d].end)):
+            pos = None
+            if boundary is Boundary.WRAP:
+                cands = sorted((v, v - n, v + n), key=lambda c: not 0 <= c < n)
+                for cand in cands:
+                    if lo <= cand < hi:
+                        pos = cand - lo
+                        break
+            elif boundary is Boundary.CLAMP:
+                c = min(max(v, 0), n - 1)
+                if lo <= c < hi:
+                    pos = c - lo
+            else:  # ZERO / NO_CHECKS
+                if 0 <= v < n and lo <= v < hi:
+                    pos = v - lo
+                else:
+                    pos = 0
+                    mask[i] = True
+            if pos is None:
+                if lenient:
+                    pos = 0
+                    mask[i] = True
+                else:
+                    raise DeviceError(
+                        f"window position {v} (dim {d}) has no backing "
+                        f"data in buffer extent {buffer.rect} "
+                        f"(boundary {boundary.value})"
+                    )
+            idxs[i] = pos
+        index_lists.append(idxs)
+        zero_masks.append(mask)
+    out = arr
+    for d, idxs in enumerate(index_lists):
+        out = np.take(out, idxs, axis=d)
+    out = out.copy()
+    for d, m in enumerate(zero_masks):
+        sl = [slice(None)] * want.ndim
+        sl[d] = m
+        out[tuple(sl)] = 0
+    return out, zero_masks
+
+
+@st.composite
+def _gather_cases(draw):
+    """A datum shape, a buffer extent over it and a wanted rect.
+
+    Extents reach well past the datum on both sides, so every WRAP
+    candidate order, CLAMP/ZERO edges and unbacked positions occur. One
+    case in four is a single device's full-period WRAP buffer
+    ``[-r, n + r)`` whose halo images hold values that differ from the
+    identity positions (stale, as after fault recovery grew the buffer).
+    """
+    ndim = draw(st.integers(1, 2))
+    shape, ext, want = [], [], []
+    full_period = draw(st.integers(0, 3)) == 0
+    for _ in range(ndim):
+        n = draw(st.integers(1, 7))
+        if full_period:
+            r = draw(st.integers(0, 2))
+            lo, hi = -r, n + r
+        else:
+            lo = draw(st.integers(-n - 2, n + 1))
+            hi = draw(st.integers(lo + 1, lo + 2 * n + 4))
+        begin = draw(st.integers(-2 * n - 2, 2 * n + 2))
+        end = begin + draw(st.integers(0, 2 * n + 4))
+        shape.append(n)
+        ext.append((lo, hi))
+        want.append((begin, end))
+    return tuple(shape), Rect(*ext), Rect(*want)
+
+
+class TestGatherDifferential:
+    """Vectorized ``_gather`` == the per-element oracle, bit for bit."""
+
+    @given(
+        _gather_cases(),
+        st.sampled_from(list(Boundary)),
+        st.booleans(),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_per_element_oracle(self, case, boundary, lenient, seed):
+        shape, extent, want = case
+        rng = np.random.default_rng(seed)
+        # Nonzero contents: a zero in the result is a synthesized one.
+        data = rng.integers(1, 100, extent.shape).astype(np.int32)
+        buffer = DeviceBuffer(0, extent, data.dtype, data)
+        window = Window1D if len(shape) == 1 else Window2D
+        view = WindowView.__new__(WindowView)
+        view.container = window(
+            from_array(np.zeros(shape, np.int32), "d"), 0, boundary
+        )
+        view._buffer = buffer
+        view._shape = shape
+
+        try:
+            expect, masks = _oracle_gather(
+                buffer, shape, boundary, want, lenient
+            )
+        except DeviceError as e:
+            with pytest.raises(DeviceError) as got:
+                view._gather(want, lenient)
+            assert str(got.value) == str(e)
+            return
+        out = view._gather(want, lenient)
+        assert out.shape == expect.shape
+        assert out.dtype == expect.dtype
+        assert (out == expect).all()
+        zero_filled = np.zeros(want.shape, dtype=bool)
+        for d, m in enumerate(masks):
+            sl = [slice(None)] * want.ndim
+            sl[d] = m
+            zero_filled[tuple(sl)] = True
+        assert ((out == 0) == zero_filled).all()
+        assert not out.flags.writeable
+        assert (buffer.data == data).all()
 
 
 class _ViewHarness:
