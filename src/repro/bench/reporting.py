@@ -5,6 +5,17 @@ from __future__ import annotations
 import pathlib
 from typing import Sequence
 
+import numpy as np
+
+
+def percentiles(xs: Sequence[float], qs: Sequence[int]) -> dict:
+    """``{"p50": ..., "p95": ...}``: ``np.percentile`` of ``xs`` at each
+    of ``qs``, all 0.0 when ``xs`` is empty."""
+    arr = np.asarray(xs, dtype=float)
+    if arr.size == 0:
+        return {f"p{q}": 0.0 for q in qs}
+    return {f"p{q}": float(np.percentile(arr, q)) for q in qs}
+
 
 def fmt_table(
     title: str, headers: Sequence[str], rows: Sequence[Sequence[str]]

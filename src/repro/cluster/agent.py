@@ -107,10 +107,6 @@ class NodeAgent:
         bottom_ghost = Rect((s + r, s + 2 * r), (0, self.cols))
         return top_edge, bottom_edge, top_ghost, bottom_ghost
 
-    def interior_rect(self) -> Rect:
-        r = self.radius
-        return Rect((r, r + self.slab_rows), (0, self.cols))
-
     # -- build / rebuild ------------------------------------------------------
     def build(
         self,

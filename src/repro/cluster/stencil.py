@@ -122,13 +122,6 @@ class ClusterStencil:
         ]
 
     @property
-    def scheds(self):
-        """Per-node schedulers, in node-id order (compat accessor)."""
-        return [
-            self.master.agents[i].sched for i in sorted(self.master.agents)
-        ]
-
-    @property
     def events(self):
         """Typed failure errors the master detected, in order."""
         return self.master.events

@@ -20,6 +20,7 @@ histories, simulated times and (bit-identical) results.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import Optional
 
@@ -46,6 +47,27 @@ from repro.server.jobs import (
 )
 from repro.server.workloads import Workload
 from repro.sim.node import SimNode
+
+_QUEUED = (PENDING, PREEMPTED)
+
+
+class _ReadyGroup:
+    """The eligible queued jobs of one ``(tenant, priority)`` (DESIGN.md
+    §13 "Indexed queue"): a min-heap of distinct time keys, each naming a
+    bucket, a min-heap of ``(order, generation, job)`` entries."""
+
+    __slots__ = ("keys", "buckets")
+
+    def __init__(self):
+        self.keys: list[float] = []
+        self.buckets: dict[float, list] = {}
+
+    def push(self, key: float, entry: tuple) -> None:
+        bucket = self.buckets.get(key)
+        if bucket is None:
+            bucket = self.buckets[key] = []
+            heapq.heappush(self.keys, key)
+        heapq.heappush(bucket, entry)
 
 
 def solo_run(
@@ -117,6 +139,20 @@ class JobServer:
         self._ids = itertools.count(1)
         #: tenant -> simulated execution seconds delivered (fair share).
         self.tenant_usage: dict[str, float] = {}
+        # The indexed queue (DESIGN.md §13). Entries are never removed
+        # from the middle of a heap: an entry is live only while its job
+        # is queued and its generation is the job's latest.
+        self._gen: dict[str, int] = {}
+        #: (max(arrival, not_before), order, gen, job): not yet eligible.
+        self._future: list[tuple] = []
+        #: (tenant, priority) -> eligible jobs of that group.
+        self._ready: dict[tuple, _ReadyGroup] = {}
+        #: (deadline, order, job) for every job submitted with a deadline.
+        self._deadlines: list[tuple] = []
+        # Within a group the score rises with submit_time * sign: a later
+        # submission scores higher under positive aging, lower under
+        # negative aging, and the same under none.
+        self._age_sign = (self.aging_rate > 0) - (self.aging_rate < 0)
 
     # -- quota helpers ---------------------------------------------------------
     def quota(self, tenant: str) -> TenantQuota:
@@ -172,6 +208,11 @@ class JobServer:
         self.jobs[job.id] = job
         self._order[job.id] = len(self._order)
         self.tenant_usage.setdefault(spec.tenant, 0.0)
+        self._enqueue(job)
+        if spec.deadline is not None:
+            heapq.heappush(
+                self._deadlines, (spec.deadline, self._order[job.id], job)
+            )
         return job
 
     def status(self, job_id: str) -> Job:
@@ -208,19 +249,89 @@ class JobServer:
         """Lower runs first: normalized tenant usage, discounted by how
         long the job has waited (priority aging) and its nice value;
         submission order breaks exact ties deterministically."""
+        return (self._score_value(job, now), self._order[job.id])
+
+    def _score_value(self, job: Job, now: float) -> float:
         q = self.quota(job.spec.tenant)
         usage = self.tenant_usage.get(job.spec.tenant, 0.0)
         share = max(q.share, 1e-9)
         wait = max(0.0, now - job.submit_time)
-        score = usage / share - self.aging_rate * wait - job.spec.priority
-        return (score, self._order[job.id])
+        return usage / share - self.aging_rate * wait - job.spec.priority
 
-    def _eligible(self, job: Job, now: float) -> bool:
-        return (
-            job.state in (PENDING, PREEMPTED)
-            and job.spec.arrival <= now
-            and job.not_before <= now
+    # -- indexed queue ---------------------------------------------------------
+    def _enqueue(self, job: Job) -> None:
+        """Index a job that just became queued. The new generation kills
+        every entry pushed for the job before."""
+        gen = self._gen[job.id] = self._gen.get(job.id, 0) + 1
+        heapq.heappush(
+            self._future,
+            (
+                max(job.spec.arrival, job.not_before),
+                self._order[job.id],
+                gen,
+                job,
+            ),
         )
+
+    def _live(self, gen: int, job: Job) -> bool:
+        return job.state in _QUEUED and self._gen[job.id] == gen
+
+    def _promote(self, now: float) -> None:
+        """Move jobs whose arrival and backoff have passed into their
+        ``(tenant, priority)`` ready group."""
+        future = self._future
+        while future and future[0][0] <= now:
+            _, order, gen, job = heapq.heappop(future)
+            if not self._live(gen, job):
+                continue
+            key = (job.spec.tenant, job.spec.priority)
+            group = self._ready.get(key)
+            if group is None:
+                group = self._ready[key] = _ReadyGroup()
+            group.push(job.submit_time * self._age_sign, (order, gen, job))
+
+    def _bucket_head(self, bucket: list) -> Optional[tuple]:
+        while bucket and not self._live(*bucket[0][1:]):
+            heapq.heappop(bucket)
+        return bucket[0] if bucket else None
+
+    def _group_head(self, group: _ReadyGroup) -> Optional[tuple]:
+        """Live entry of lowest (key, order), dropping drained buckets."""
+        keys, buckets = group.keys, group.buckets
+        while keys:
+            head = self._bucket_head(buckets[keys[0]])
+            if head is not None:
+                return head
+            del buckets[heapq.heappop(keys)]
+        return None
+
+    def _group_best(self, group: _ReadyGroup, now: float) -> Optional[tuple]:
+        """``(score, order, job)`` of the group's minimum-``_score`` job,
+        or None when the group has no live entry.
+
+        Scores rise with the key, so the head scores lowest. Later keys
+        can round to the same float score, and one of them may hold a
+        lower order: those tied keys form a subtree at the top of the
+        key heap, which is searched until the score rises."""
+        head = self._group_head(group)
+        if head is None:
+            return None
+        best_order, _, best = head
+        score, _ = self._score(best, now)
+        keys, buckets = group.keys, group.buckets
+        stack = [1, 2]
+        while stack:
+            i = stack.pop()
+            if i >= len(keys):
+                continue
+            entry = self._bucket_head(buckets[keys[i]])
+            if entry is not None:
+                if self._score_value(entry[2], now) != score:
+                    continue
+                if entry[0] < best_order:
+                    best_order, best = entry[0], entry[2]
+            stack += (2 * i + 1, 2 * i + 2)
+        return score, best_order, best
 
     def _expire_dead_jobs(self) -> None:
         """Fail queued jobs whose deadline already passed, *before* they
@@ -229,12 +340,10 @@ class JobServer:
         result is contractually worthless, stealing node time from live
         tenants."""
         now = self.node.time
-        for job in self.jobs.values():
-            if (
-                job.state in (PENDING, PREEMPTED)
-                and job.spec.deadline is not None
-                and now > job.spec.deadline
-            ):
+        deadlines = self._deadlines
+        while deadlines and deadlines[0][0] < now:
+            _, _, job = heapq.heappop(deadlines)
+            if job.state in _QUEUED:
                 e = DeadlineExceededError(
                     f"job {job.id} deadline t={job.spec.deadline:.6g} "
                     f"expired before it could start (now t={now:.6g})",
@@ -250,21 +359,28 @@ class JobServer:
                 )
 
     def _pick(self) -> Optional[Job]:
+        """The eligible job of minimum ``_score``: the best of each
+        group's best."""
         now = self.node.time
-        candidates = [j for j in self.jobs.values() if self._eligible(j, now)]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda j: self._score(j, now))
+        self._promote(now)
+        best = None
+        for key in list(self._ready):
+            cand = self._group_best(self._ready[key], now)
+            if cand is None:
+                del self._ready[key]
+            elif best is None or cand[:2] < best[:2]:
+                best = cand
+        return None if best is None else best[2]
 
     def _next_eligibility(self) -> Optional[float]:
         """Earliest future time a queued job becomes eligible (arrival or
-        fault backoff), or None if the queue is truly empty."""
-        times = [
-            max(j.spec.arrival, j.not_before)
-            for j in self.jobs.values()
-            if j.state in (PENDING, PREEMPTED)
-        ]
-        return min(times) if times else None
+        fault backoff), or None if the queue is truly empty. Called when
+        ``_pick`` found nothing, so every queued job is in the future
+        heap."""
+        future = self._future
+        while future and not self._live(*future[0][2:]):
+            heapq.heappop(future)
+        return future[0][0] if future else None
 
     # -- scheduling loop -------------------------------------------------------
     def _idle_advance(self, to: float) -> None:
@@ -331,9 +447,11 @@ class JobServer:
 
     # -- one lease -------------------------------------------------------------
     def _others_waiting(self, job: Job) -> bool:
-        now = self.node.time
+        """Some job other than the RUNNING ``job`` is eligible: a live
+        ready head (``job``'s own entries are dead while it runs)."""
+        self._promote(self.node.time)
         return any(
-            self._eligible(j, now) for j in self.jobs.values() if j is not job
+            self._group_head(g) is not None for g in self._ready.values()
         )
 
     def _run_lease(self, job: Job) -> None:
@@ -452,6 +570,7 @@ class JobServer:
         job.preemptions += 1
         job.last_preemption = err
         job.log(now, f"preempted at iteration {wl.completed}")
+        self._enqueue(job)
 
     def _requeue_after_fault(self, job: Job, err: UnrecoverableError) -> None:
         now = self.node.time
@@ -466,6 +585,7 @@ class JobServer:
         )
         job.not_before = now + backoff
         job.state = PENDING
+        self._enqueue(job)
         job.log(
             now,
             f"unrecoverable fault; requeued with backoff {backoff:.6g}s "
