@@ -44,9 +44,10 @@ class LeNetInference:
         sched: The scheduler to build on. The job-server/serving layers
             pass a device-restricted one (``Scheduler(node, devices=(d,))``)
             so each replica stays on its own GPU.
-        params: Host-side parameters (shared across replicas — every
-            replica of one model binds the *same* arrays, so any replica
-            answers any request identically).
+        params: Host-side parameters. Each replica binds its own
+            arrays (``LeNetEngine`` initializes them per replica from
+            the model seed), but every replica of one model holds equal
+            values, so any replica answers any request identically.
         batch: Fixed batch shape; smaller batches are zero-padded.
     """
 

@@ -2,9 +2,11 @@
 
 All three deep-learning stacks the paper compares (Caffe, Torch,
 MAPS-Multi) call the same cuDNN v2 routines — which is why their
-single-GPU throughputs coincide in Fig. 11. Functional bodies use
-numpy sliding windows; costs are FLOP counts over the calibrated
-``cudnn_conv_efficiency`` fraction of FMA peak.
+single-GPU throughputs coincide in Fig. 11. Functional convolution
+bodies use numpy sliding windows; 2x2 pooling reduces over the four
+stride-2 views of its input, with no tile copy. Convolution costs are
+FLOP counts over the calibrated ``cudnn_conv_efficiency`` fraction of
+FMA peak; pooling costs are bytes moved at stream bandwidth.
 
 Layouts are NCHW throughout, filters KCRS, 'valid' convolution (LeNet
 uses no padding).
@@ -46,25 +48,56 @@ def conv2d_backward_filter(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return np.einsum("bcrshw,bkhw->kcrs", windows, dy, optimize=True)
 
 
+# Stride-2 quadrant offsets of a 2x2 window, in row-major order: the index
+# ``k`` into this tuple is the argmax code the forward pass records.
+_QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _check_pool_input(shape: tuple[int, ...]) -> None:
+    if len(shape) != 4 or shape[2] % 2 or shape[3] % 2:
+        raise ValueError(
+            f"2x2 pooling needs an NCHW input with even extents, got {shape}"
+        )
+
+
 def maxpool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2x2/stride-2 max pooling. Returns (pooled, argmax-index array)."""
-    b, c, h, w = x.shape
-    assert h % 2 == 0 and w % 2 == 0, "LeNet pools even extents"
-    tiles = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    flat = tiles.reshape(b, c, h // 2, w // 2, 4)
-    arg = flat.argmax(axis=-1)
-    return flat.max(axis=-1), arg.astype(np.int8)
+    """2x2/stride-2 max pooling. Returns (pooled, int8 argmax code 0..3).
+
+    Reduces over the four stride-2 quadrant views without copying tiles.
+    The left-to-right ``maximum`` chain keeps ``ndarray.max``'s choice
+    between equal signed zeros, and the code is the first quadrant that
+    attains the max (or, where the window holds a NaN, the first NaN),
+    exactly as ``argmax`` picks it.
+    """
+    _check_pool_input(x.shape)
+    q0, q1, q2, q3 = (x[..., i::2, j::2] for i, j in _QUADRANTS)
+    pooled = np.maximum(np.maximum(np.maximum(q0, q1), q2), q3)
+    hit = [q == pooled for q in (q0, q1, q2)]
+    if np.isnan(pooled).any():
+        hit = [h | np.isnan(q) for h, q in zip(hit, (q0, q1, q2))]
+    arg = np.where(
+        hit[0], np.int8(0),
+        np.where(hit[1], np.int8(1), np.where(hit[2], np.int8(2), np.int8(3))),
+    )
+    return pooled, arg
 
 
 def maxpool2x2_backward(
     dy: np.ndarray, arg: np.ndarray, in_shape: tuple[int, ...]
 ) -> np.ndarray:
     """Route gradients to each pooling window's argmax element."""
-    b, c, hh, ww = dy.shape
-    dx_tiles = np.zeros((b, c, hh, ww, 4), dtype=dy.dtype)
-    np.put_along_axis(dx_tiles, arg[..., None].astype(np.int64), dy[..., None], axis=-1)
-    dx = dx_tiles.reshape(b, c, hh, ww, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    return dx.reshape(in_shape)
+    in_shape = tuple(in_shape)
+    _check_pool_input(in_shape)
+    b, c, h, w = in_shape
+    if dy.shape != (b, c, h // 2, w // 2) or arg.shape != dy.shape:
+        raise ValueError(
+            f"dy {dy.shape} and arg {arg.shape} must be the pooled shape "
+            f"of {in_shape}"
+        )
+    dx = np.zeros(in_shape, dy.dtype)
+    for k, (i, j) in enumerate(_QUADRANTS):
+        dx[..., i::2, j::2] = np.where(arg == k, dy, 0)
+    return dx
 
 
 # -- cost models ----------------------------------------------------------------

@@ -117,8 +117,87 @@ class TestPooling:
         assert dx[0, 0, 0, 0] == 1.0
 
     def test_odd_extent_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             maxpool2x2_forward(np.zeros((1, 1, 5, 4), np.float32))
+
+    def test_backward_shape_mismatch_rejected(self):
+        dy = np.zeros((1, 1, 2, 2), np.float32)
+        arg = np.zeros((1, 1, 2, 2), np.int8)
+        with pytest.raises(ValueError):
+            maxpool2x2_backward(dy, arg, (1, 1, 4, 6))
+        with pytest.raises(ValueError):
+            maxpool2x2_backward(dy, arg, (1, 1, 5, 4))
+
+
+# Reference pooling over a copied (..., 4) tile axis: ``max``/``argmax``
+# forward and a ``put_along_axis`` backward. The differential oracle for
+# the strided-view implementation.
+def ref_maxpool2x2_forward(x):
+    b, c, h, w = x.shape
+    tiles = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    flat = tiles.reshape(b, c, h // 2, w // 2, 4)
+    arg = flat.argmax(axis=-1)
+    return flat.max(axis=-1), arg.astype(np.int8)
+
+
+def ref_maxpool2x2_backward(dy, arg, in_shape):
+    b, c, hh, ww = dy.shape
+    dx_tiles = np.zeros((b, c, hh, ww, 4), dtype=dy.dtype)
+    np.put_along_axis(dx_tiles, arg[..., None].astype(np.int64), dy[..., None], axis=-1)
+    dx = dx_tiles.reshape(b, c, hh, ww, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    return dx.reshape(in_shape)
+
+
+_SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])
+
+
+def _values(rng, shape, dtype, special):
+    """Normals, or draws from {+-0, +-1, +-inf, NaN}."""
+    x = rng.choice(_SPECIAL, size=shape) if special else rng.standard_normal(shape)
+    return x.astype(dtype)
+
+
+def _pool_input(rng, shape, dtype, special):
+    """``_values``, then one quadrant copied onto another in random
+    windows to force ties."""
+    x = _values(rng, shape, dtype, special)
+    quads = [x[..., i::2, j::2] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    for _ in range(2):
+        src, dst = rng.choice(4, size=2, replace=False)
+        tie = rng.random(quads[0].shape) < 0.5
+        quads[dst][tie] = quads[src][tie]
+    return x
+
+
+class TestPoolingMatchesReference:
+    """Bit-for-bit agreement with the tile-copy reference, including the
+    ordering rules for equal signed zeros, ties and NaNs."""
+
+    @given(
+        b=st.integers(1, 3), c=st.integers(1, 3),
+        hh=st.integers(1, 4), ww=st.integers(1, 4),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        special=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_forward_and_backward(self, b, c, hh, ww, dtype, special, seed):
+        rng = np.random.default_rng(seed)
+        x = _pool_input(rng, (b, c, 2 * hh, 2 * ww), dtype, special)
+        y, arg = maxpool2x2_forward(x)
+        y_ref, arg_ref = ref_maxpool2x2_forward(x)
+
+        nan = np.isnan(y_ref)
+        assert y.dtype == y_ref.dtype and y.shape == y_ref.shape
+        assert (np.isnan(y) == nan).all()
+        assert y[~nan].tobytes() == y_ref[~nan].tobytes()
+        assert arg.dtype == np.int8
+        assert (arg == arg_ref).all()
+
+        dy = _values(rng, y.shape, dtype, special)
+        dx = maxpool2x2_backward(dy, arg, x.shape)
+        dx_ref = ref_maxpool2x2_backward(dy, arg_ref, x.shape)
+        assert dx.dtype == dx_ref.dtype and dx.shape == dx_ref.shape
+        assert dx.tobytes() == dx_ref.tobytes()
 
 
 class TestCostModels:
