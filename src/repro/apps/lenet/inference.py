@@ -64,6 +64,9 @@ class LeNetInference:
         self._grid = Grid((b,), block0=1)
         for kernel, containers in self._forward_calls():
             sched.analyze_call(kernel, *containers, grid=self._grid)
+        #: The captured forward pass (None until the second batch).
+        self.graph = None
+        self._batches = 0
 
     def _datum(self, name: str, shape, dtype=np.float32) -> Datum:
         d = Datum(shape, dtype, name)
@@ -166,7 +169,16 @@ class LeNetInference:
 
         ``images`` may hold fewer than ``batch`` samples; the remainder is
         zero-padded (rows beyond ``images.shape[0]`` of the result are the
-        padding's logits and are discarded by the caller)."""
+        padding's logits and are discarded by the caller).
+
+        The first batch runs eagerly and leaves every activation's
+        pending-read list in its steady shape; the second captures the
+        forward pass as an iteration graph (DESIGN.md §12) and every later
+        batch launches it — one lap from the same entry state (a dirty
+        input upload, last batch's gathered logits), which is why the
+        whole pass, upload and classifier included, is one graph: a
+        launch drains its streams, so splitting the pass around a graph
+        would delay the eager layers after it."""
         k = images.shape[0]
         if k > self.batch:
             raise ValueError(
@@ -175,8 +187,20 @@ class LeNetInference:
         self._images[:k] = images
         if k < self.batch:
             self._images[k:] = 0.0
-        self.sched.mark_host_dirty(self.x0)
+        sched = self.sched
+        sched.mark_host_dirty(self.x0)
+        if self.graph is not None:
+            self.graph.launch()
+        elif self._batches and sched.plans.enabled and not sched.sanitize:
+            with sched.capture() as g:
+                self._invoke_forward()
+            self.graph = g
+        else:
+            self._invoke_forward()
+        self._batches += 1
+        sched.gather(self.logits)
+        return self.logits.host.copy()
+
+    def _invoke_forward(self) -> None:
         for kernel, containers in self._forward_calls():
             self.sched.invoke_unmodified(kernel, *containers, grid=self._grid)
-        self.sched.gather(self.logits)
-        return self.logits.host.copy()

@@ -15,30 +15,35 @@ The replay is *bit-identical* to the eager path, not merely equivalent:
   pure function of captured values).
 * Host-clock checkpoints re-accumulate the captured per-lap advances with
   the same sequential additions the eager submission loop performs.
-* Cross-lap event dependencies are resolved through the global event
-  creation sequence: a steady-state period creates the same events in the
-  same order every lap, so a captured wait on an event created ``k``
-  slots before the capture window is "the same slot, one period earlier".
+* Cross-lap event dependencies are resolved through the location
+  monitor: a captured wait on a pre-capture event reads whatever the
+  monitor held at that event's position when the capture began, so in a
+  later lap it is the window slot the previous lap left there (or, at an
+  untouched position, the same event again).
 * Device-LRU touch order, per-link fault counters and EWMA observer
   callbacks are replayed so every side channel the scheduler might read
   later has the exact state an uncaptured run would have left.
 
-A graph is *invalidated* — and its :meth:`IterationGraph.launch` falls
-back to re-invoking the recorded calls through the normal scheduler path,
-bit-identically by construction — whenever the steady state it froze no
-longer holds: an EWMA rebalance changed segment weights, a device was
-retired, a replica was evicted or chunked under memory pressure (all bump
-the scheduler's graph generation), straggler windows or pending transfer
-faults are still active, or the residency state the capture period left
-behind no longer matches.
+A launch takes the fast path only when the steady state it froze still
+holds; otherwise :meth:`IterationGraph.launch` falls back to re-invoking
+the recorded calls through the normal scheduler path, bit-identically by
+construction. It falls back when an EWMA rebalance changed segment
+weights, a device was retired, a replica was evicted or chunked under
+memory pressure (all bump the scheduler's graph generation), straggler
+windows or pending transfer faults are still active, work is still
+queued, or a datum the recorded calls touch is not in the captured
+entry geometry. Validation is scoped to those datums and matches their
+events by position, not identity: with the node drained and every
+matched event recorded by the host clock, waiting on any of them is a
+no-op, so an eager prefix, a gather or another engine's work between
+launches leaves the next launch fast.
 """
 
 from __future__ import annotations
 
-import re
 from typing import TYPE_CHECKING, Any
 
-from repro.core.location_monitor import _Instance
+from repro.core.location_monitor import LocationMonitor, _DatumState, _Instance
 from repro.errors import GraphCaptureError
 from repro.hardware.topology import HOST
 from repro.sim.commands import (
@@ -53,11 +58,6 @@ from repro.sim.commands import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.scheduler import Scheduler
     from repro.sim.stream import Stream
-
-#: Task names embed a global invocation id (``gol#42@gpu1``) that differs
-#: between any two invocations; strip it when comparing event labels
-#: across laps.
-_TASK_ID = re.compile(r"#\d+")
 
 
 class GraphRecorder:
@@ -108,28 +108,82 @@ class GraphRecorder:
         self.deltas.append(dt)
 
 
-def _snapshot_state(st) -> tuple:
-    """Immutable view of one datum's monitor state (events by reference)."""
-    shadow = st.agg_shadow
-    return (
-        tuple(
-            (loc, tuple((i.rect, i.event) for i in insts))
-            for loc, insts in st.up_to_date.items()
-        ),
-        st.agg_mode,
-        tuple(st.agg_sources.items()),
-        tuple((loc, tuple(evs)) for loc, evs in st.pending_reads.items()),
-        st.agg_lost,
-        None
-        if shadow is None
-        else (shadow[0], tuple(shadow[1].items()), shadow[2]),
+def _copy_state(monitor, st: _DatumState) -> _DatumState:
+    """Frozen copy of one datum's monitor state (events by reference;
+    instances are never mutated in place, so sharing them is safe)."""
+    monitor._sid(st)
+    return _DatumState(
+        up_to_date={loc: list(v) for loc, v in st.up_to_date.items()},
+        agg_mode=st.agg_mode,
+        agg_sources=dict(st.agg_sources),
+        pending_reads={loc: list(v) for loc, v in st.pending_reads.items()},
+        settled_reads=dict(st.settled_reads),
+        sid=st.sid,
+        agg_lost=st.agg_lost,
+        agg_shadow=st.agg_shadow,
     )
 
 
-def snapshot_monitor(monitor) -> dict[int, tuple]:
-    """Snapshot every datum's residency state (used by capture begin/end
-    to prove the period is a fixed point modulo per-lap event refresh)."""
-    return {did: _snapshot_state(st) for did, st in monitor._state.items()}
+def snapshot_monitor(monitor) -> dict[int, _DatumState]:
+    """Copy every datum's residency state (taken when a capture begins;
+    finalization compares the datums the period touched against it)."""
+    return {
+        did: _copy_state(monitor, st) for did, st in monitor._state.items()
+    }
+
+
+def _view(monitor, st: _DatumState, consumed: tuple) -> tuple[tuple, list]:
+    """``(geometry, events)`` of one datum's state, as a graph sees it.
+
+    The geometry is everything the eager path's command stream depends
+    on: instance rects (the canonical state id), aggregation structure,
+    and — for the locations ``consumed`` by a writer of the period — the
+    pending-read list length and folded-reader count, which fix how many
+    WAR waits that writer emits. Which positions hold no event is part of
+    the geometry too (a ``None`` producer emits no wait). ``events`` lists
+    every event reference in a fixed order, so two states of equal
+    geometry can be matched position by position.
+    """
+    evs = [inst.event for insts in st.up_to_date.values() for inst in insts]
+    aggs = st.agg_sources
+    if aggs:
+        evs.extend(aggs.values())
+    shadow = st.agg_shadow
+    if shadow is not None:
+        evs.extend(shadow[1].values())
+        evs.append(shadow[2])
+    pend: tuple = ()
+    if consumed:
+        rows = []
+        for loc in consumed:
+            lst = st.pending_reads.get(loc, ())
+            settled = st.settled_reads.get(loc)
+            count = 0
+            if settled is not None:
+                evs.append(settled[0])
+                count = settled[1]
+            evs.extend(lst)
+            rows.append((len(lst), count))
+        pend = tuple(rows)
+    sid = st.sid
+    if sid < 0:
+        sid = monitor._sid(st)
+        if sid < 0:  # id table full: compare the rects themselves
+            sid = tuple(
+                (loc, tuple(i.rect for i in insts))
+                for loc, insts in st.up_to_date.items()
+            )
+    geo = (
+        sid,
+        st.agg_mode,
+        tuple(aggs) if aggs else (),
+        None if shadow is None else (shadow[0], tuple(shadow[1])),
+        st.agg_lost,
+        pend,
+        tuple(i for i, ev in enumerate(evs) if ev is None)
+        if None in evs else (),
+    )
+    return geo, evs
 
 
 class IterationGraph:
@@ -149,6 +203,12 @@ class IterationGraph:
         self.calls: list[tuple] = []
         #: Whether the capture compiled to a replayable macro-command.
         self.replayable = False
+        #: Whether the period is a fixed point (its exit geometry equals
+        #: its entry geometry), so the fast path may replay several laps
+        #: in one launch; a replayable non-periodic graph replays one lap
+        #: per launch (e.g. a forward pass bracketed by an upload and a
+        #: gather that reset the state in between).
+        self.periodic = False
         #: Human-readable reason when not replayable.
         self.reason = "capture not finalized"
         #: Scheduler graph generation the capture is valid for; any
@@ -164,28 +224,47 @@ class IterationGraph:
         self._K = 1
         self._E = 0
         self._const_events: list[Event] = []
-        self._boundary_times: list[float] = []
-        self._slot_events: list[Event] = []
-        self._slot_of: dict[Event, int] = {}
         self._slot_labels: list[str] = []
         self._link_inc: dict[tuple, int] = {}
         self._devices: set[int] = set()
         self._touches: list[tuple[Any, Any]] = []
-        self._expected: dict[int, tuple] = {}
-        #: (id(datum), loc) -> ("replace", slots) | ("tail", slots); locs
-        #: whose pending-read lists the epilogue must rebuild or extend.
-        self._pending_plan: dict[tuple[int, int], tuple[str, tuple]] = {}
+        #: Datums the recorded calls touch, in first-use order; the only
+        #: monitor state the graph validates and refreshes.
+        self._scope: tuple[int, ...] = ()
+        #: did -> locations whose pending reads a writer of the period
+        #: consumes (their list shape fixes the WAR waits it emits).
+        self._consumed: dict[int, tuple[int, ...]] = {}
+        #: did -> entry geometry a launch's live state must match.
+        self._geometry: dict[int, tuple] = {}
+        #: did -> (exit layout, event sources): the state one lap leaves,
+        #: each event either a window slot ``(True, slot)``, the event at
+        #: entry position ``(False, k)``, or ``None``. The layout is None
+        #: when a lap leaves the datum's state as it found it.
+        self._exit: dict[int, tuple[tuple, tuple]] = {}
+        #: did -> ((loc, slots), ...): pending-read lists the period only
+        #: reads (never consumes) and the slots each lap appends.
+        self._tails: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
+        #: Entry positions ``(did, k)`` of the pre-capture events the
+        #: program waits on, giving their lap-0 times from the live state:
+        #: per constant (None: not held by the monitor) and per
+        #: previous-lap slot.
+        self._const_pos: list[tuple[int, int] | None] = []
+        self._boundary_pos: dict[int, tuple[int, int]] = {}
+        #: did -> live event list of the state a passing _fast_ok matched.
+        self._live: dict[int, list] = {}
 
     # -- capture finalization -------------------------------------------------
     def _fail(self, reason: str) -> None:
         self.replayable = False
+        self.periodic = False
         self.reason = reason
 
     def _finalize(
         self,
         rec: GraphRecorder,
-        entry: dict[int, tuple],
+        entry: dict[int, _DatumState],
         war_log: set[tuple[int, int]],
+        fold_log: set[tuple[int, int]],
         h_submit_end: float,
         gen0: int,
     ) -> None:
@@ -225,12 +304,12 @@ class IterationGraph:
             )
 
         slot_of = {ev: i for i, ev in enumerate(events)}
-        norm_labels = [_TASK_ID.sub("", ev.label) for ev in events]
         engine = sched.node.engine
         topology = sched.node.topology
         faults = sched.node.faults
-        const_events: list[Event] = []
-        const_index: dict[Event, int] = {}
+        # Waits on pre-capture events, classified once the entry and exit
+        # states are known: (program ops, index, event).
+        pre_waits: list[tuple[list, int, Event]] = []
         link_inc: dict[tuple, int] = {}
         devices: set[int] = set()
         programs: list[tuple["Stream", list[tuple]]] = []
@@ -247,30 +326,14 @@ class IterationGraph:
                     s = ev.seq
                     if S0 <= s < S0 + E:
                         ops.append((0, ck, 0, s - S0))
-                    elif S0 - E <= s < S0:
-                        slot = s - (S0 - E)
-                        if (
-                            not ev.recorded
-                            or _TASK_ID.sub("", ev.label)
-                            != norm_labels[slot]
-                        ):
-                            return self._fail(
-                                f"previous-period event {ev.label!r} does "
-                                f"not line up with captured slot {slot} — "
-                                "the warm-up iteration was not steady-state"
-                            )
-                        ops.append((0, ck, 1, slot))
-                    else:
-                        if not ev.recorded:
-                            return self._fail(
-                                f"wait on pre-capture event {ev.label!r} "
-                                "that never recorded"
-                            )
-                        idx = const_index.get(ev)
-                        if idx is None:
-                            idx = const_index[ev] = len(const_events)
-                            const_events.append(ev)
-                        ops.append((0, ck, 2, idx))
+                        continue
+                    if not ev.recorded:
+                        return self._fail(
+                            f"wait on pre-capture event {ev.label!r} "
+                            "that never recorded"
+                        )
+                    pre_waits.append((ops, len(ops), ev))
+                    ops.append((0, ck))
                 elif t is EventRecord:
                     slot = slot_of.get(cmd.event)
                     if slot is None:
@@ -341,154 +404,156 @@ class IterationGraph:
                     )
             programs.append((stream, ops))
 
-        # -- residency fixed point (modulo per-lap event refresh) ------------
+        # -- the touched datums' entry and exit states ------------------------
+        scope: list[int] = []
+        for _raw, _kernel, containers, _grid, _constants in self.calls:
+            for c in containers:
+                did = id(c.datum)
+                if did not in scope:
+                    scope.append(did)
         monitor = sched.monitor
-        exit_snap = snapshot_monitor(monitor)
-        pending_plan: dict[tuple[int, int], tuple[str, tuple]] = {}
-        for did, ex in exit_snap.items():
+        state = monitor._state
+        positions: dict[Event, list[tuple[int, int]]] = {}
+        periodic = True
+        for did in scope:
             en = entry.get(did)
-            if en is None:
+            st = state.get(did)
+            if en is None or st is None:
                 return self._fail(
                     "a datum first touched during capture has no "
                     "steady-state entry snapshot"
                 )
-            ok = self._check_fixed_point(
-                did, en, ex, slot_of, war_log, pending_plan
+            consumed = tuple(sorted(loc for d, loc in war_log if d == did))
+            for loc in consumed:
+                if (did, loc) in fold_log:
+                    # Readers folded before a writer consumed them: later
+                    # laps (whose readers are still in flight) would wait
+                    # on each reader instead of one representative.
+                    return self._fail(
+                        "a writer consumed readers the period folded"
+                    )
+            e_geo, e_evs = _view(monitor, en, consumed)
+            x_geo, x_evs = _view(monitor, st, consumed)
+            entry_pos: dict[Event, int] = {}
+            for k, ev in enumerate(e_evs):
+                if ev is not None:
+                    entry_pos.setdefault(ev, k)
+                    positions.setdefault(ev, []).append((did, k))
+            srcs = []
+            for ev in x_evs:
+                if ev is None:
+                    srcs.append(None)
+                    continue
+                s = slot_of.get(ev)
+                if s is not None:
+                    srcs.append((True, s))
+                    continue
+                k = entry_pos.get(ev)
+                if k is None:
+                    return self._fail(
+                        "the period left an event from neither the capture "
+                        "window nor the entry state"
+                    )
+                srcs.append((False, k))
+            layout = (
+                st.sid,
+                tuple(
+                    (loc, tuple(i.rect for i in insts))
+                    for loc, insts in st.up_to_date.items()
+                ),
+                st.agg_mode,
+                tuple(st.agg_sources),
+                None if st.agg_shadow is None else st.agg_shadow[0],
+                tuple(st.agg_shadow[1]) if st.agg_shadow else (),
+                st.agg_lost,
+                x_geo[5],
             )
-            if ok is not None:
-                return self._fail(ok)
-        for did in entry:
-            if did not in exit_snap:  # pragma: no cover - states persist
-                return self._fail("a datum's state vanished during capture")
+            tails = []
+            for loc, lst in st.pending_reads.items():
+                if loc in consumed:
+                    continue
+                before = en.pending_reads.get(loc, [])
+                if len(lst) == len(before) and all(
+                    a is b for a, b in zip(lst, before)
+                ):
+                    continue  # untouched by the period
+                slots = []
+                for ev in lst:
+                    s = slot_of.get(ev)
+                    if s is None:
+                        return self._fail(
+                            "a pending-read list grew by a pre-capture event"
+                        )
+                    slots.append(s)
+                tails.append((loc, tuple(slots)))
+            for loc, lst in en.pending_reads.items():
+                if lst and loc not in st.pending_reads and loc not in consumed:
+                    return self._fail(
+                        "a pending-read list vanished without a writer"
+                    )
+            self._consumed[did] = consumed
+            self._geometry[did] = e_geo
+            same = x_geo == e_geo
+            if same and all(
+                src is None or src == (False, k) for k, src in enumerate(srcs)
+            ):
+                layout = None  # a lap leaves everything but the tails
+            self._exit[did] = (layout, tuple(srcs))
+            self._tails[did] = tuple(tails)
+            periodic = periodic and same
+
+        # -- waits on pre-capture events ----------------------------------------
+        # Each reads the event some entry position holds. Lap 0 takes its
+        # time from the live state at that position; a later lap waits on
+        # whatever the previous lap left there: a window slot (a cross-lap
+        # dependency) or the same untouched event (a constant). Positions
+        # that disagree, or an event the monitor does not hold, limit the
+        # graph to one lap per launch.
+        const_events: list[Event] = []
+        const_pos: list[tuple[int, int] | None] = []
+        boundary_pos: dict[int, tuple[int, int]] = {}
+        resolved: dict[Event, tuple[int, int]] = {}
+        for ops, i, ev in pre_waits:
+            op = resolved.get(ev)
+            if op is None:
+                poss = positions.get(ev, ())
+                # Exit positions line up with entry ones only when the
+                # period is a fixed point; otherwise only lap 0 exists.
+                srcs = (
+                    {self._exit[did][1][k] for did, k in poss}
+                    if periodic else set()
+                )
+                src = srcs.pop() if len(srcs) == 1 else None
+                if src is not None and src[0]:
+                    boundary_pos.setdefault(src[1], poss[0])
+                    op = (1, src[1])
+                else:
+                    if periodic and (not poss or any(
+                        self._exit[did][1][k] != (False, k)
+                        for did, k in poss
+                    )):
+                        periodic = False
+                    op = (2, len(const_events))
+                    const_events.append(ev)
+                    const_pos.append(poss[0] if poss else None)
+                resolved[ev] = op
+            ops[i] = ops[i] + op
 
         self._programs = programs
         self._deltas = list(rec.deltas)
         self._K = len(rec.deltas) + 1
         self._E = E
         self._const_events = const_events
-        self._boundary_times = [ev.recorded_at for ev in events]
-        self._slot_events = list(events)
-        self._slot_of = slot_of
+        self._const_pos = const_pos
+        self._boundary_pos = boundary_pos
         self._slot_labels = [ev.label for ev in events]
         self._link_inc = link_inc
         self._devices = devices
         self._touches = list(rec.touches)
-        self._expected = exit_snap
-        self._pending_plan = pending_plan
+        self._scope = tuple(scope)
         self.replayable = True
+        self.periodic = periodic
         self.reason = ""
-
-    def _check_fixed_point(
-        self,
-        did: int,
-        en: tuple,
-        ex: tuple,
-        slot_of: dict[Event, int],
-        war_log: set[tuple[int, int]],
-        pending_plan: dict[tuple[int, int], tuple[str, tuple]],
-    ) -> str | None:
-        """One datum's entry-vs-exit proof. The captured period must leave
-        the datum's residency *geometry* exactly where it found it, and
-        every event reference must be either untouched (a pre-capture
-        constant) or refreshed by the period (a window event the epilogue
-        re-materializes per lap). Returns a failure reason or None."""
-        e_utd, e_mode, e_aggs, e_pend, e_lost, e_shadow = en
-        x_utd, x_mode, x_aggs, x_pend, x_lost, x_shadow = ex
-        if e_mode is not x_mode or e_lost != x_lost:
-            return "aggregation state changed across the captured period"
-
-        def ref_ok(e_ev, x_ev) -> bool:
-            if x_ev is None:
-                return e_ev is None
-            if x_ev in slot_of:
-                return True  # refreshed per lap
-            return x_ev is e_ev  # untouched pre-capture constant
-
-        if len(e_utd) != len(x_utd):
-            return "residency geometry changed across the captured period"
-        for (e_loc, e_insts), (x_loc, x_insts) in zip(e_utd, x_utd):
-            if e_loc != x_loc or len(e_insts) != len(x_insts):
-                return (
-                    "residency geometry changed across the captured period"
-                )
-            for (e_rect, e_ev), (x_rect, x_ev) in zip(e_insts, x_insts):
-                if e_rect != x_rect:
-                    return (
-                        "residency geometry changed across the captured "
-                        "period"
-                    )
-                if not ref_ok(e_ev, x_ev):
-                    return (
-                        "an up-to-date instance carries an event from "
-                        "neither the capture window nor the entry state"
-                    )
-        if len(e_aggs) != len(x_aggs):
-            return "aggregation sources changed across the captured period"
-        for (e_d, e_ev), (x_d, x_ev) in zip(e_aggs, x_aggs):
-            if e_d != x_d or not ref_ok(e_ev, x_ev):
-                return (
-                    "aggregation sources changed across the captured period"
-                )
-        if (e_shadow is None) != (x_shadow is None):
-            return "aggregation shadow changed across the captured period"
-        if x_shadow is not None:
-            if e_shadow[0] is not x_shadow[0] or len(e_shadow[1]) != len(
-                x_shadow[1]
-            ):
-                return "aggregation shadow changed across the captured period"
-            for (e_d, e_ev), (x_d, x_ev) in zip(e_shadow[1], x_shadow[1]):
-                if e_d != x_d or not ref_ok(e_ev, x_ev):
-                    return (
-                        "aggregation shadow changed across the captured "
-                        "period"
-                    )
-            if not ref_ok(e_shadow[2], x_shadow[2]):
-                return "aggregation shadow changed across the captured period"
-
-        # Pending reads: a list the period's writer consumed (war_log) must
-        # end the period holding only window events (replaced per lap); an
-        # unconsumed list may only have grown by a window-event tail.
-        e_pend_map = dict(e_pend)
-        for loc, x_evs in x_pend:
-            key = (did, loc)
-            if key in war_log:
-                slots = []
-                for ev in x_evs:
-                    s = slot_of.get(ev)
-                    if s is None:
-                        return (
-                            "a consumed pending-read list ends the period "
-                            "with a pre-capture event"
-                        )
-                    slots.append(s)
-                pending_plan[key] = ("replace", tuple(slots))
-                continue
-            e_evs = e_pend_map.get(loc, ())
-            if len(x_evs) < len(e_evs):
-                return "a pending-read list shrank without a writer"
-            for e_ev, x_ev in zip(e_evs, x_evs):
-                if e_ev is not x_ev:
-                    return (
-                        "a pending-read list's retained prefix changed "
-                        "across the captured period"
-                    )
-            tail = x_evs[len(e_evs):]
-            if tail:
-                slots = []
-                for ev in tail:
-                    s = slot_of.get(ev)
-                    if s is None:
-                        return (
-                            "a pending-read list grew by a pre-capture "
-                            "event"
-                        )
-                    slots.append(s)
-                pending_plan[key] = ("tail", tuple(slots))
-        x_locs = {loc for loc, _ in x_pend}
-        for loc, e_evs in e_pend_map.items():
-            if e_evs and loc not in x_locs and (did, loc) not in war_log:
-                return "a pending-read list vanished without a writer"
-        return None
 
     # -- launch ---------------------------------------------------------------
     def launch(self, n: int = 1) -> float:
@@ -521,7 +586,7 @@ class IterationGraph:
             return sched.node.time
         self.launches += 1
         self.replayed_laps += n
-        if self._fast_ok():
+        if (n == 1 or self.periodic) and self._fast_ok():
             self.fast_launches += 1
             return self._fast(n)
         for _ in range(n):
@@ -538,14 +603,18 @@ class IterationGraph:
 
     # -- fast-path validation -------------------------------------------------
     def _fast_ok(self) -> bool:
+        """Whether the macro-command reproduces what the eager laps would
+        do from the live state. Only the touched datums are checked: each
+        must match the captured entry geometry, and with every stream
+        drained and every matched event recorded no later than the host
+        clock, a lap-0 wait on any pre-launch event is a no-op — so live
+        events are accepted by position, whatever their identity."""
         if not self.replayable:
             return False
         sched = self._sched
         if sched._graph_generation != self.generation:
             return False
         node = sched.node
-        # Anything still queued means un-drained foreign work; the replay
-        # assumes quiescent streams.
         for s in node.streams:
             if s.commands:
                 return False
@@ -555,12 +624,31 @@ class IterationGraph:
         # must take the slow path (which then bumps the generation).
         if sched._current_weights() != sched._weights:
             return False
+        host = node.host_time
         monitor = sched.monitor
         state = monitor._state
-        for did, snap in self._expected.items():
+        live: dict[int, list] = {}
+        for did in self._scope:
             st = state.get(did)
-            if st is None or _snapshot_state(st) != snap:
+            if st is None:
                 return False
+            geo, evs = _view(monitor, st, self._consumed[did])
+            if geo != self._geometry[did]:
+                return False
+            for ev in evs:
+                if ev is not None:
+                    t = ev.recorded_at
+                    if t is None or t > host:
+                        return False
+            for loc, _slots in self._tails[did]:
+                for ev in st.pending_reads.get(loc, ()):
+                    if ev.recorded_at is None:
+                        return False
+            live[did] = evs
+        for ev, pos in zip(self._const_events, self._const_pos):
+            if pos is None and ev.recorded_at > host:
+                return False
+        self._live = live
         return True
 
     def _faults_quiescent(self) -> bool:
@@ -607,6 +695,8 @@ class IterationGraph:
         deltas = self._deltas
         K = self._K
         E = self._E
+        live = self._live
+        self._live = {}
         # Host checkpoints: the eager submission loop's host_time after
         # each advance, re-accumulated with the same sequential additions.
         ck_vals: list[float] = []
@@ -624,14 +714,20 @@ class IterationGraph:
             for _ in range(n):
                 for mem, buf in touches:
                     mem.touch(buf)
-        const_times = [ev.recorded_at for ev in self._const_events]
+        # Lap-0 waits on pre-launch events read the events the live state
+        # holds at the captured positions (all no-ops, see _fast_ok).
+        const_times = [
+            ev.recorded_at if pos is None else live[pos[0]][pos[1]].recorded_at
+            for ev, pos in zip(self._const_events, self._const_pos)
+        ]
+        boundary: list = [None] * E  # only previous-lap slots are read
+        for slot, (did, k) in self._boundary_pos.items():
+            boundary[slot] = live[did][k].recorded_at
         ev_time = engine.run_graph(
-            self._programs, n, ck_vals, K, E, self._boundary_times,
-            const_times,
+            self._programs, n, ck_vals, K, E, boundary, const_times,
         )
         node.host_time = max(h, engine.now)
-        self._boundary_times = ev_time[(n - 1) * E:]
-        self._refresh_monitor(ev_time, n)
+        self._refresh_monitor(ev_time, n, live)
         fp = node.faults
         if fp is not None and self._link_inc:
             counts = fp._link_counts
@@ -640,93 +736,90 @@ class IterationGraph:
         sched.plans.graph_hits += n * max(1, len(self.calls))
         return node.time
 
-    def _refresh_monitor(self, ev_time: list, n: int) -> None:
-        """Epilogue: re-materialize the monitor's event references as the
-        final replay lap would have left them.
-
-        Fresh :class:`Event` objects are created for the final lap (the
-        captured templates keep their capture-time values — the same
-        template may also sit in an append-only pending-read tail, where
-        its *old* time is the correct one), and the graph's expected
-        snapshot is rebuilt around them so the next launch validates
-        against exactly what this one left behind.
-        """
+    def _refresh_monitor(
+        self, ev_time: list, n: int, live: dict[int, list]
+    ) -> None:
+        """Epilogue: leave each touched datum's monitor state exactly as
+        the ``n`` eager laps would have — window events become fresh
+        :class:`Event` objects carrying their lap's recorded time, events
+        the period carries over are taken from the live state by
+        position, and read-only pending lists fold their completed
+        readers and grow by each lap's readers, as :meth:`LocationMonitor.
+        mark_read` does."""
         E = self._E
-        base = (n - 1) * E
-        slot_of = self._slot_of
-        monitor = self._sched.monitor
-        new_final: dict[int, Event] = {}
-        inter: dict[tuple[int, int], Event] = {}
-
-        def fresh(slot: int) -> Event:
-            ev = new_final.get(slot)
-            if ev is None:
-                ev = Event(label=self._slot_labels[slot])
-                ev.recorded_at = ev_time[base + slot]
-                new_final[slot] = ev
-            return ev
+        labels = self._slot_labels
+        made: dict[int, Event] = {}
 
         def lap_ev(lap: int, slot: int) -> Event:
-            if lap == n - 1:
-                return fresh(slot)
-            key = (lap, slot)
-            ev = inter.get(key)
+            key = lap * E + slot
+            ev = made.get(key)
             if ev is None:
-                ev = Event(label=self._slot_labels[slot])
-                ev.recorded_at = ev_time[lap * E + slot]
-                inter[key] = ev
+                ev = made[key] = Event(label=labels[slot])
+                ev.recorded_at = ev_time[key]
             return ev
 
-        def map_ev(ev):
-            if ev is None:
-                return None
-            s = slot_of.get(ev)
-            return ev if s is None else fresh(s)
+        state = self._sched.monitor._state
+        for did in self._scope:
+            st = state[did]
+            layout, srcs = self._exit[did]
+            for loc, slots in self._tails[did]:
+                lst = st.pending_reads.get(loc)
+                if lst:
+                    LocationMonitor._fold(st, loc, lst)
+                else:
+                    lst = st.pending_reads[loc] = []
+                for lap in range(n):
+                    for s in slots:
+                        lst.append(lap_ev(lap, s))
+            if layout is None:
+                continue
+            cur = live[did]
 
-        new_expected: dict[int, tuple] = {}
-        for did, snap in self._expected.items():
-            st = monitor._state[did]
-            utd, mode, aggs, pend, lost, shadow = snap
-            for loc, insts in utd:
-                cur = st.up_to_date[loc]
-                changed = False
-                new_insts = []
-                for i, (rect, ev) in enumerate(insts):
-                    s = None if ev is None else slot_of.get(ev)
-                    if s is None:
-                        new_insts.append(cur[i])
-                    else:
-                        # Never mutate an _Instance in place: memoized
-                        # transition templates may share it.
-                        new_insts.append(_Instance(rect, fresh(s)))
-                        changed = True
-                if changed:
-                    st.up_to_date[loc] = new_insts
-            if aggs:
-                for d, ev in aggs:
-                    m = map_ev(ev)
-                    if m is not ev:
-                        st.agg_sources[d] = m
-            if shadow is not None:
-                sh_mode, sh_sources, sh_ev = shadow
-                st.agg_shadow = (
-                    sh_mode,
-                    {d: map_ev(ev) for d, ev in sh_sources},
-                    map_ev(sh_ev),
-                )
-            for (p_did, loc), (kind, slots) in self._pending_plan.items():
-                if p_did != did:
-                    continue
-                if kind == "replace":
-                    st.pending_reads[loc] = [fresh(s) for s in slots]
-                else:  # append-only tail: one set per replayed lap
-                    lst = st.pending_reads[loc]
-                    for lap in range(n):
-                        for s in slots:
-                            lst.append(lap_ev(lap, s))
-            new_expected[did] = _snapshot_state(st)
-        self._expected = new_expected
-        slot_events = self._slot_events
-        for s, ev in new_final.items():
-            slot_events[s] = ev
-        self._slot_of = {ev: s for s, ev in enumerate(slot_events)}
+            def resolve(p: int):
+                lap = n - 1
+                while True:
+                    src = srcs[p]
+                    if src is None:
+                        return None
+                    is_slot, a = src
+                    if is_slot:
+                        return lap_ev(lap, a)
+                    if lap == 0 or srcs[a] == (False, a):
+                        return cur[a]
+                    lap -= 1
+                    p = a
+
+            evs = [resolve(p) for p in range(len(srcs))]
+            sid, utd, mode, agg_keys, sh_mode, sh_keys, lost, pend = layout
+            i = 0
+            new_utd: dict[int, list[_Instance]] = {}
+            for loc, rects in utd:
+                insts = []
+                for rect in rects:
+                    insts.append(_Instance(rect, evs[i]))
+                    i += 1
+                new_utd[loc] = insts
+            st.up_to_date = new_utd
+            st.sid = sid
+            st.agg_mode = mode
+            st.agg_lost = lost
+            st.agg_sources = {d: evs[i + j] for j, d in enumerate(agg_keys)}
+            i += len(agg_keys)
+            if sh_mode is None:
+                st.agg_shadow = None
+            else:
+                sources = {d: evs[i + j] for j, d in enumerate(sh_keys)}
+                i += len(sh_keys)
+                st.agg_shadow = (sh_mode, sources, evs[i])
+                i += 1
+            for loc, (length, count) in zip(self._consumed[did], pend):
+                if count:
+                    st.settled_reads[loc] = (evs[i], count)
+                    i += 1
+                else:
+                    st.settled_reads.pop(loc, None)
+                if length:
+                    st.pending_reads[loc] = evs[i:i + length]
+                    i += length
+                else:
+                    st.pending_reads.pop(loc, None)

@@ -9,7 +9,10 @@ Tracks all host and device instances of each datum. Per datum it keeps:
   (Reductive/Unstructured) left per-device partial results that must be
   combined before the datum can be read (Algorithm 2, lines 15–17);
 * ``pending_reads`` — completion events of transfers/kernels that read an
-  instance, which a subsequent writer must wait on (WAR hazards).
+  instance, which a subsequent writer must wait on (WAR hazards). Readers
+  that already completed are folded into one ``settled_reads`` entry per
+  location, so data that is read forever but never written keeps a
+  bounded list (see :meth:`LocationMonitor.mark_read`).
 
 :meth:`compute_copies` is Algorithm 2: given a required segment and a
 target location, produce the minimal list of copy operations, preferring a
@@ -63,6 +66,10 @@ class _DatumState:
     agg_sources: dict[int, Optional[Event]] = field(default_factory=dict)
     #: location -> events of in-flight readers of instances there.
     pending_reads: dict[int, list[Event]] = field(default_factory=dict)
+    #: location -> ``(representative, count)``: ``count`` completed readers
+    #: folded out of ``pending_reads``; the representative is the one that
+    #: recorded last (see :meth:`LocationMonitor.mark_read`).
+    settled_reads: dict[int, tuple[Event, int]] = field(default_factory=dict)
     #: Canonical geometry state id (see ``LocationMonitor._sid``); -1 means
     #: not yet assigned — recomputed lazily after a non-memoized mutation.
     sid: int = -1
@@ -125,6 +132,9 @@ class LocationMonitor:
         #: graph finalization can tell pending-read lists that were
         #: *replaced* during the captured period from lists that only grew.
         self.war_log: set[tuple[int, int]] | None = None
+        #: Companion capture hook: keys whose completed readers
+        #: :meth:`mark_read` folded during the captured period.
+        self.fold_log: set[tuple[int, int]] | None = None
 
     # -- state access ------------------------------------------------------
     def _st(self, datum: "Datum") -> _DatumState:
@@ -345,6 +355,7 @@ class LocationMonitor:
         st = self._st(datum)
         st.up_to_date.pop(device, None)
         st.pending_reads.pop(device, None)
+        st.settled_reads.pop(device, None)
         st.sid = -1
 
     def invalidate_for_recovery(self, dead: Iterable[int]) -> None:
@@ -384,6 +395,9 @@ class LocationMonitor:
                     del st.up_to_date[loc]
             # Readers that never ran impose no WAR constraint (waiting on
             # their events would deadlock); completed ones still do.
+            for loc in list(st.settled_reads):
+                if loc in dead:
+                    del st.settled_reads[loc]
             for loc in list(st.pending_reads):
                 if loc in dead:
                     del st.pending_reads[loc]
@@ -568,14 +582,52 @@ class LocationMonitor:
         self._insert(st.up_to_date.setdefault(target, []), actual, event)
 
     def mark_read(self, datum: "Datum", loc: int, event: Event) -> None:
-        """Register an in-flight reader of the instance at ``loc``."""
-        self._st(datum).pending_reads.setdefault(loc, []).append(event)
+        """Register an in-flight reader of the instance at ``loc``.
+
+        The list's recorded prefix is folded into ``settled_reads`` first:
+        a writer emits one wait per folded reader on the representative
+        (the reader that recorded last), which moves its stream exactly as
+        far as the individual waits would — so the command stream and all
+        simulated times are unchanged, while a datum that is read on every
+        request but never written keeps a bounded list.
+        """
+        st = self._st(datum)
+        lst = st.pending_reads.get(loc)
+        if lst is None:
+            st.pending_reads[loc] = [event]
+            return
+        if lst and lst[0].recorded_at is not None:
+            self._fold(st, loc, lst)
+            if self.fold_log is not None:
+                self.fold_log.add((id(datum), loc))
+        lst.append(event)
+
+    @staticmethod
+    def _fold(st: _DatumState, loc: int, lst: list[Event]) -> None:
+        """Move the recorded prefix of ``lst`` into ``settled_reads``."""
+        rep, count = st.settled_reads.get(loc, (None, 0))
+        k = 0
+        for ev in lst:
+            t = ev.recorded_at
+            if t is None:
+                break
+            if rep is None or t >= rep.recorded_at:
+                rep = ev
+            k += 1
+        st.settled_reads[loc] = (rep, count + k)
+        del lst[:k]
 
     def take_war_events(self, datum: "Datum", loc: int) -> list[Event]:
         """Events a writer at ``loc`` must wait for (consumes them)."""
         if self.war_log is not None:
             self.war_log.add((id(datum), loc))
-        return self._st(datum).pending_reads.pop(loc, [])
+        st = self._st(datum)
+        evs = st.pending_reads.pop(loc, [])
+        settled = st.settled_reads.pop(loc, None)
+        if settled is not None:
+            rep, count = settled
+            return [rep] * count + evs
+        return evs
 
     def mark_written(
         self, datum: "Datum", device: int, rect: Rect, event: Optional[Event]

@@ -46,6 +46,7 @@ from repro.core.plan import (
     COPY_MEMO_LIMIT,
     ChunkPlan,
     ChunkStep,
+    DevicePlan,
     PlanCache,
     TaskPlan,
     build_chunk_plan,
@@ -269,7 +270,7 @@ class Scheduler:
         self._graph_generation = 0
         self._capture: IterationGraph | None = None
         self._capture_rec: GraphRecorder | None = None
-        self._capture_entry: dict[int, tuple] | None = None
+        self._capture_entry: dict[int, Any] | None = None
         self._capture_gen0 = 0
 
     @property
@@ -550,6 +551,7 @@ class Scheduler:
         self._capture_entry = snapshot_monitor(self.monitor)
         self._capture_gen0 = self._graph_generation
         self.monitor.war_log = set()
+        self.monitor.fold_log = set()
         for d in self.node.devices:
             mem = d.memory
             cls = type(mem)
@@ -576,6 +578,7 @@ class Scheduler:
     def _uninstall_capture_hooks(self) -> None:
         self.node.graph_recorder = None
         self.monitor.war_log = None
+        self.monitor.fold_log = None
         for d in self.node.devices:
             d.memory.__dict__.pop("touch", None)
 
@@ -587,13 +590,14 @@ class Scheduler:
         graph, rec = self._capture, self._capture_rec
         entry, gen0 = self._capture_entry, self._capture_gen0
         war_log = self.monitor.war_log or set()
+        fold_log = self.monitor.fold_log or set()
         self._uninstall_capture_hooks()
         self._capture = None
         self._capture_rec = None
         self._capture_entry = None
         h_submit_end = self.node.host_time
         self.wait_all()
-        graph._finalize(rec, entry, war_log, h_submit_end, gen0)
+        graph._finalize(rec, entry, war_log, fold_log, h_submit_end, gen0)
         return graph
 
     def _abort_batch(self) -> None:
@@ -769,7 +773,7 @@ class Scheduler:
             for ev in kernel_waits[d]:
                 node.wait_event(stream, ev)
             payload = self._kernel_payload(
-                task, d, dplans[d].work_rect, num_active, race_pool
+                task, d, dplans[d], num_active, race_pool
             )
             kcmd = node.launch_kernel(
                 stream, durations[d], payload, label=f"{task.name}@gpu{d}"
@@ -1567,13 +1571,14 @@ class Scheduler:
             label=f"memset:{container.datum.name}@gpu{device}",
         )
 
-    def _kernel_payload(self, task: Task, device: int, work_rect: Rect,
+    def _kernel_payload(self, task: Task, device: int, dp: DevicePlan,
                         num_active: int, race_pool: dict | None = None):
         if not self.node.functional or task.kernel.func is None:
             return None
         if task.kernel.raw:
-            return self._routine_payload(task, device, work_rect, num_active)
+            return self._routine_payload(task, device, dp, num_active)
         analyzer = self.analyzer
+        work_rect = dp.work_rect
 
         def payload() -> None:
             recorder = None
@@ -1620,29 +1625,32 @@ class Scheduler:
 
         return payload
 
-    def _routine_payload(self, task: Task, device: int, work_rect: Rect,
+    def _routine_payload(self, task: Task, device: int, dp: DevicePlan,
                          num_active: int):
-        """Payload for unmodified routines: raw segment arrays (§4.6)."""
+        """Payload for unmodified routines: raw segment arrays (§4.6),
+        sliced at the rects the device plan already holds."""
         from repro.core.unmodified import RoutineContext
 
         analyzer = self.analyzer
+        reqs = iter(dp.input_reqs)
+        owned = iter(dp.output_rects)
+        segments = tuple(
+            next(reqs).virtual if isinstance(c, InputContainer)
+            else next(owned)
+            for c in task.containers
+        )
+        datums = tuple(c.datum for c in task.containers)
 
         def payload() -> None:
-            params: list = []
-            segments: list[Rect] = []
-            for c in task.containers:
-                if isinstance(c, InputContainer):
-                    seg = c.required(task.grid.shape, work_rect).virtual
-                else:
-                    seg = c.owned(task.grid.shape, work_rect)
-                buf = analyzer.buffer(c.datum, device)
-                params.append(buf.view(seg))
-                segments.append(seg)
+            params = tuple(
+                analyzer.buffer(datum, device).view(seg)
+                for datum, seg in zip(datums, segments)
+            )
             ctx = RoutineContext(
                 device=device,
                 num_devices=num_active,
-                parameters=tuple(params),
-                container_segments=tuple(segments),
+                parameters=params,
+                container_segments=segments,
                 constants=task.constants,
                 context=task.kernel.context,
             )
@@ -2031,7 +2039,7 @@ class Scheduler:
         for datum, op in staging:
             self._enqueue_copy(datum, op, stream=stream)
         payload = self._kernel_payload(
-            task, alt, dp.work_rect, origin.num_active, None
+            task, alt, dp, origin.num_active, None
         )
         label = f"spec:{task.name}@gpu{alt}"
         node.launch_kernel(

@@ -1,25 +1,31 @@
 """Replica model engines (DESIGN.md §14).
 
 A *replica* is one device's copy of a model, hosted behind the dynamic
-batcher. Two engines are served:
+batcher. Two engines are served, and both replay iteration graphs
+(DESIGN.md §12) in steady state:
 
 * :class:`LeNetEngine` — the Fig. 10 CNN, forward pass only, via
-  :class:`repro.apps.lenet.inference.LeNetInference` (eager, plan-cached
-  from the second batch on);
+  :class:`repro.apps.lenet.inference.LeNetInference`: the first batch
+  runs eagerly, the second captures the whole forward pass, and every
+  later batch is one graph launch followed by the logits gather;
 * :class:`SgemmEngine` — a chained small-SGEMM microservice (an
   ``layers``-deep stack of ``X @ B`` ping-pongs through *unmodified*
-  CUBLAS, §4.6). Its steady-state ping-pong period is captured as an
-  iteration graph (DESIGN.md §12) on the first serve and replayed on
-  every later one, so the per-request host path is a graph launch, not
-  ``layers`` scheduler invocations.
+  CUBLAS, §4.6). Each serve runs its first ping-pong pair eagerly (it
+  absorbs the batch upload); the steady-state pair is captured on the
+  first serve and launched for the remaining pairs of every later one.
+
+Every launch after a replica's capture takes the graph fast path, so the
+per-request host path is one graph launch per engine instead of one
+scheduler invocation per layer.
 
 Both engines run every batch at one **fixed padded shape**. That is the
 load-bearing invariant of the serving layer: identical call shapes mean
 identical task plans and identical per-row arithmetic, so a request's
 result is bitwise independent of its batch-mates and of the replica that
-served it (replicas of one model share the same seeded weights). The
-batcher and autoscaler may therefore change *latency* freely without
-ever changing *answers*.
+served it (each replica builds its own weight arrays from the same seed,
+so all replicas of one model hold equal values). The batcher and
+autoscaler may therefore change *latency* freely without ever changing
+*answers*.
 """
 
 from __future__ import annotations
@@ -35,6 +41,9 @@ from repro.serving.trace import Request
 
 class LeNetEngine:
     """LeNet-inference replica engine at a fixed batch shape.
+
+    Batches run through :meth:`LeNetInference.infer`: eager for the
+    warm-up batch, a graph capture on the next, graph launches after.
 
     Args:
         sched: The replica's (device-restricted) scheduler.
@@ -65,7 +74,8 @@ class LeNetEngine:
 
     def warmup(self) -> None:
         """One padded dummy batch: pays weight distribution + plan
-        analysis so the first real request doesn't."""
+        analysis so the first real request doesn't (the first real batch
+        then captures the forward-pass graph)."""
         dummy = Request(
             rid=-1, kind=self.kind, arrival=0.0, seed=self._model_seed
         )

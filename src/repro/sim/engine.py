@@ -247,7 +247,7 @@ class Engine:
         ck_vals: list[float],
         K: int,
         E: int,
-        boundary_times: list[float],
+        boundary_times: list[float | None],
         const_times: list[float],
     ) -> list[float | None]:
         """Replay a compiled iteration graph for ``n`` laps (DESIGN.md §12).
@@ -346,11 +346,10 @@ class Engine:
                 if code == 0:
                     curs[si] = ready
                 elif code == 1:
-                    # EventRecord. Recording and waking in-line (without a
-                    # heap round-trip) is order-safe: the record's time is
-                    # unchanged, every wake it enables is pushed with a key
-                    # >= that time, and real commands always go through the
-                    # heap — so real-dispatch order still follows the keys.
+                    # EventRecord. Records go through the heap like real
+                    # commands: waking a stream before the eager loop would
+                    # reach this record could let the woken stream win a
+                    # tie at equal ready time it loses in eager dispatch.
                     curs[si] = ready
                     idx = laps[si] * E + op[2]
                     ev_time[idx] = ready
@@ -424,10 +423,12 @@ class Engine:
                 r = ready_of(si)
                 if r is None:
                     break
-                if prog[pc][0] >= 2:
+                if prog[pc][0] >= 1:
                     push(heap, (r, sids[si], si))
                     break
-                # Zero-duration wait/record head: consume in-line.
+                # Satisfied wait head: consume in-line (it wakes nothing,
+                # and the next command is pushed with the same key the
+                # eager loop would push it with).
                 ready = r
 
         if any(lap != n for lap in laps):

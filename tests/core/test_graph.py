@@ -13,11 +13,15 @@ per-invocation serial numbers and legitimately differ between runs.
 
 import dataclasses
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import Matrix, Scheduler
+from repro.core.graph import IterationGraph
 from repro.errors import GraphCaptureError
 from repro.hardware import GTX_780
 from repro.kernels.game_of_life import (
@@ -228,6 +232,184 @@ class TestCaptureReplay:
         g.launch(0)
         assert node.time == t0
         assert g.replayed_laps == 0
+
+
+class TestScopedValidation:
+    """A graph validates only the datums its calls touch: eager work,
+    gathers and host updates on other data — even another graph's — leave
+    its launches on the fast path, and those launches match the eager
+    twin bit for bit."""
+
+    def run(self):
+        node, sched, a, b, kernel, ca, cb = gol_setup(n=64)
+        rng = np.random.default_rng(5)
+        m = 32
+        bmat = Matrix(m, m, np.float32, "W").bind(
+            (rng.standard_normal((m, m)) * 0.1).astype(np.float32)
+        )
+        x = Matrix(m, m, np.float32, "X").bind(
+            rng.standard_normal((m, m)).astype(np.float32)
+        )
+        y = Matrix(m, m, np.float32, "Y").bind(np.zeros((m, m), np.float32))
+        gemm = make_sgemm_routine()
+        cxy = sgemm_containers(x, bmat, y)
+        cyx = sgemm_containers(y, bmat, x)
+        sched.analyze_call(gemm, *cxy)
+        sched.analyze_call(gemm, *cyx)
+
+        def gol_pair():
+            sched.invoke(kernel, *ca)
+            sched.invoke(kernel, *cb)
+
+        def gemm_pair():
+            sched.invoke_unmodified(gemm, *cxy)
+            sched.invoke_unmodified(gemm, *cyx)
+
+        gol_pair()
+        gemm_pair()
+        sched.wait_all()
+        with sched.capture() as g_gol:
+            gol_pair()
+        with sched.capture() as g_gemm:
+            gemm_pair()
+        snaps = []
+        for i in range(3):
+            g_gol.launch(2)
+            gemm_pair()  # eager work on the other graph's datums
+            sched.gather(x)
+            snaps.append(x.host.copy())
+            g_gol.launch(1)
+            x.host[...] = rng.standard_normal((m, m)).astype(np.float32)
+            sched.mark_host_dirty(x)
+            gemm_pair()  # eager prefix absorbing the upload
+            sched.wait_all()
+            g_gemm.launch(i + 1)
+            g_gol.launch(1)
+        sched.gather_async(a)
+        sched.gather_async(x)
+        t = sched.wait_all()
+        return (
+            t,
+            node.engine.commands_executed,
+            norm_trace(node),
+            a.host.copy(),
+            x.host.copy(),
+            snaps,
+            (g_gol, g_gemm),
+        )
+
+    def test_launches_stay_fast_and_match_eager(self):
+        t, cmds, rows, board, xs, snaps, graphs = self.run()
+        for g in graphs:
+            assert g.replayable, g.reason
+            assert g.fast_launches == g.launches
+        with mock.patch.object(
+            IterationGraph, "_fast_ok", lambda self: False
+        ):
+            te, cmdse, rowse, boarde, xse, snapse, graphse = self.run()
+        assert all(g.fast_launches == 0 for g in graphse)
+        assert t == te
+        assert cmds == cmdse
+        assert rows == rowse
+        assert np.array_equal(board, boarde)
+        assert np.array_equal(board, gol_expected(2 + 2 + 3 * 8, n=64))
+        assert np.array_equal(xs, xse)
+        assert all(np.array_equal(p, q) for p, q in zip(snaps, snapse))
+
+
+class TestRandomInterleavings:
+    """Any mix of eager pairs, drains, gathers, host updates, captures
+    and launches over two graphs: the fast path never changes a bit."""
+
+    @staticmethod
+    def run(gpus, steps):
+        node = SimNode(GTX_780, gpus, functional=True)
+        sched = Scheduler(node)
+        n = 32
+        a = Matrix(n, n, np.uint8, "A").bind(
+            np.random.default_rng(7).integers(0, 2, (n, n), dtype=np.uint8)
+        )
+        b = Matrix(n, n, np.uint8, "B").bind(np.zeros((n, n), np.uint8))
+        kernel = make_gol_kernel()
+        ca, cb = gol_containers(a, b), gol_containers(b, a)
+        sched.analyze_call(kernel, *ca)
+        sched.analyze_call(kernel, *cb)
+        m = 16
+        rng = np.random.default_rng(3)
+        w = Matrix(m, m, np.float32, "W").bind(
+            (rng.standard_normal((m, m)) * 0.1).astype(np.float32)
+        )
+        x = Matrix(m, m, np.float32, "X").bind(
+            rng.standard_normal((m, m)).astype(np.float32)
+        )
+        y = Matrix(m, m, np.float32, "Y").bind(np.zeros((m, m), np.float32))
+        gemm = make_sgemm_routine()
+        cxy, cyx = sgemm_containers(x, w, y), sgemm_containers(y, w, x)
+        sched.analyze_call(gemm, *cxy)
+        sched.analyze_call(gemm, *cyx)
+        pairs = [
+            lambda: (sched.invoke(kernel, *ca), sched.invoke(kernel, *cb)),
+            lambda: (
+                sched.invoke_unmodified(gemm, *cxy),
+                sched.invoke_unmodified(gemm, *cyx),
+            ),
+        ]
+        datums = (a, x)
+        graphs = [None, None]
+        for op, which, laps in steps:
+            if op == "eager":
+                pairs[which]()
+            elif op == "drain":
+                sched.wait_all()
+            elif op == "gather":
+                sched.gather(datums[which])
+            elif op == "dirty":
+                sched.gather(datums[which])
+                datums[which].host[...] = datums[which].host[::-1].copy()
+                sched.mark_host_dirty(datums[which])
+            elif graphs[which] is None:
+                with sched.capture() as graphs[which]:
+                    pairs[which]()
+            else:
+                graphs[which].launch(laps)
+        sched.gather_async(a)
+        sched.gather_async(x)
+        t = sched.wait_all()
+        return (
+            t,
+            node.engine.commands_executed,
+            norm_trace(node),
+            a.host.tobytes(),
+            x.host.tobytes(),
+        )
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        gpus=st.sampled_from([1, 2, 4]),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["eager", "eager", "drain", "gather", "dirty", "graph",
+                     "graph", "graph"]
+                ),
+                st.integers(0, 1),
+                st.integers(1, 3),
+            ),
+            min_size=4,
+            max_size=16,
+        ),
+    )
+    def test_fast_path_equals_fallback(self, gpus, steps):
+        fast = self.run(gpus, steps)
+        with mock.patch.object(
+            IterationGraph, "_fast_ok", lambda self: False
+        ):
+            eager = self.run(gpus, steps)
+        assert fast == eager
 
 
 class TestCaptureGuards:

@@ -154,6 +154,28 @@ class TestWarTracking:
         mon.mark_read(datum, 0, Event("r"))
         assert mon.take_war_events(datum, 1) == []
 
+    def test_completed_readers_fold_into_one_representative(
+        self, mon, datum
+    ):
+        evs = [Event(f"r{i}") for i in range(4)]
+        for t, ev in zip((3.0, 7.0, 5.0), evs):
+            mon.mark_read(datum, 0, ev)
+            ev.recorded_at = t
+        mon.mark_read(datum, 0, evs[3])  # folds the three recorded readers
+        assert mon._state[id(datum)].pending_reads[0] == [evs[3]]
+        # A writer still waits once per reader; the folded ones wait on
+        # the reader that recorded last.
+        assert mon.take_war_events(datum, 0) == [evs[1]] * 3 + [evs[3]]
+        assert mon.take_war_events(datum, 0) == []
+
+    def test_unrecorded_readers_are_not_folded(self, mon, datum):
+        e1, e2, e3 = Event("r1"), Event("r2"), Event("r3")
+        mon.mark_read(datum, 0, e1)
+        mon.mark_read(datum, 0, e2)
+        e2.recorded_at = 1.0  # behind an in-flight reader: kept in order
+        mon.mark_read(datum, 0, e3)
+        assert mon.take_war_events(datum, 0) == [e1, e2, e3]
+
 
 class Test2DSegments:
     def test_2d_intersection_copy(self, mon, datum):
