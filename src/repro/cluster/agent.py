@@ -22,6 +22,8 @@ surfacing as a :class:`~repro.errors.NodeFailure` with
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.core import Kernel, Matrix, Scheduler
@@ -36,6 +38,16 @@ from repro.utils.rect import Rect
 #: recovery path that silently reads a dead node would produce boards
 #: full of this value and fail the bit-identity asserts.
 POISON = np.int32(-559038737)  # 0xDEADBEEF
+
+
+@functools.lru_cache(maxsize=256)
+def _edge_rects(r: int, s: int, cols: int) -> tuple[Rect, Rect, Rect, Rect]:
+    return (
+        Rect((r, 2 * r), (0, cols)),
+        Rect((s, s + r), (0, cols)),
+        Rect((0, r), (0, cols)),
+        Rect((s + r, s + 2 * r), (0, cols)),
+    )
 
 
 class NodeAgent:
@@ -99,13 +111,9 @@ class NodeAgent:
 
     def edge_rects(self) -> tuple[Rect, Rect, Rect, Rect]:
         """(top edge, bottom edge, top ghost, bottom ghost) in slab
-        coordinates of the current range."""
-        r, s = self.radius, self.slab_rows
-        top_edge = Rect((r, 2 * r), (0, self.cols))
-        bottom_edge = Rect((s, s + r), (0, self.cols))
-        top_ghost = Rect((0, r), (0, self.cols))
-        bottom_ghost = Rect((s + r, s + 2 * r), (0, self.cols))
-        return top_edge, bottom_edge, top_ghost, bottom_ghost
+        coordinates of the current range (memoized on the geometry:
+        a re-slab changes the key)."""
+        return _edge_rects(self.radius, self.slab_rows, self.cols)
 
     # -- build / rebuild ------------------------------------------------------
     def build(

@@ -4,14 +4,22 @@
 Device buffers cover the analyzer's bounding box in *virtual* coordinates,
 which may extend beyond the datum for WRAP halos (e.g. rows ``[-1, 2049)``
 of an 8192-row matrix). An instance of actual rows ``[8191, 8192)`` then
-lives at virtual rows ``[-1, 0)``. :func:`locate_virtual` finds the unique
-virtual position of an actual region within a buffer.
+lives at virtual rows ``[-1, 0)``. :func:`locate_virtual_all` finds the
+virtual positions of an actual region within a buffer.
+
+The answer depends only on geometry, so :func:`placement` memoizes it as
+buffer-local slice tuples: a copy payload then costs plain numpy slicing
+(DESIGN.md §7). A regrown, re-slabbed or reallocated buffer has a
+different extent and therefore a different key; nothing is invalidated.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Sequence
+
+import numpy as np
 
 from repro.errors import DeviceError
 from repro.sim.memory import DeviceBuffer
@@ -19,10 +27,10 @@ from repro.utils.rect import Rect
 
 
 def locate_virtual_all(
-    buffer: DeviceBuffer, actual: Rect, datum_shape: Sequence[int]
+    extent: Rect, actual: Rect, datum_shape: Sequence[int]
 ) -> list[Rect]:
-    """All virtual rects inside ``buffer`` holding actual region
-    ``actual``, identity position first.
+    """All virtual rects inside a buffer covering ``extent`` that hold
+    actual region ``actual``, identity position first.
 
     With two or more devices each buffer covers less than a full wrapped
     dimension, so exactly one candidate exists. A *single-device* wrap
@@ -43,24 +51,55 @@ def locate_virtual_all(
             [o for o in (-s, 0, s)
              if ext.begin <= iv.begin + o and iv.end + o <= ext.end]
             for iv, ext, s in zip(
-                actual.intervals, buffer.rect.intervals, datum_shape
+                actual.intervals, extent.intervals, datum_shape
             )
         ]
     candidates = [actual.shift(offs) for offs in itertools.product(*fits)]
     if not candidates:
         raise DeviceError(
             f"actual region {actual} maps to no virtual position in "
-            f"buffer extent {buffer.rect} (datum shape "
+            f"buffer extent {extent} (datum shape "
             f"{tuple(datum_shape)})"
         )
     candidates.sort(key=lambda r: r != actual)
     return candidates
 
 
-def locate_virtual(
-    buffer: DeviceBuffer, actual: Rect, datum_shape: Sequence[int]
-) -> Rect:
-    """The canonical virtual rect inside ``buffer`` holding actual region
-    ``actual`` (the identity position when the region aliases)."""
-    return locate_virtual_all(buffer, actual, datum_shape)[0]
+@functools.lru_cache(maxsize=4096)
+def placement(
+    extent: Rect, actual: Rect, datum_shape: tuple[int, ...]
+) -> tuple[tuple[slice, ...], ...]:
+    """Buffer-local slice tuples of every alias of ``actual`` in a buffer
+    covering ``extent``, in :func:`locate_virtual_all` order (identity
+    position first).
 
+    Pure in its arguments, so memoized: steady-state copies move the
+    same regions between the same extents on every invocation. Every
+    alias lies inside ``extent`` by construction, which is the
+    containment check :meth:`DeviceBuffer.view` would repeat.
+    """
+    origin = extent.begin
+    return tuple(
+        v.slices(origin) for v in locate_virtual_all(extent, actual, datum_shape)
+    )
+
+
+def read_actual(
+    buffer: DeviceBuffer, actual: Rect, datum_shape: tuple[int, ...]
+) -> np.ndarray:
+    """View of actual region ``actual`` at its canonical (identity-first)
+    position in ``buffer``."""
+    return buffer.array()[placement(buffer.rect, actual, datum_shape)[0]]
+
+
+def write_actual(
+    buffer: DeviceBuffer, actual: Rect, datum_shape: tuple[int, ...],
+    values,
+) -> None:
+    """Store ``values`` into every alias of actual region ``actual`` in
+    ``buffer``: a single-device wrap buffer may hold the region both at
+    its identity position and as a halo image, and writing all of them
+    keeps the buffer from disagreeing with itself."""
+    data = buffer.array()
+    for sl in placement(buffer.rect, actual, datum_shape):
+        data[sl] = values

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 
-from repro.core.buffers import locate_virtual, locate_virtual_all
+from repro.core.buffers import read_actual, write_actual
 from repro.core.datum import Datum
 from repro.core.graph import GraphRecorder, IterationGraph, snapshot_monitor
 from repro.core.grid import Grid
@@ -1080,8 +1080,7 @@ class Scheduler:
                 continue
             payload = None
             if node.functional:
-                virt = locate_virtual(buf, piece, datum.shape)
-                arr = buf.view(virt).copy()
+                arr = read_actual(buf, piece, datum.shape).copy()
 
                 def payload(piece=piece, arr=arr):
                     datum.host[piece.slices()] = arr
@@ -1385,9 +1384,9 @@ class Scheduler:
                 if op.src == HOST:
                     src_arr = datum.host[op.actual.slices()]
                 else:
-                    sbuf = analyzer.buffer(datum, op.src)
-                    virt = locate_virtual(sbuf, op.actual, datum.shape)
-                    src_arr = sbuf.view(virt)
+                    src_arr = read_actual(
+                        analyzer.buffer(datum, op.src), op.actual, datum.shape
+                    )
                 tmp.view(op.actual.shift(off))[...] = src_arr
 
             return payload
@@ -1526,24 +1525,25 @@ class Scheduler:
         return ev
 
     def _copy_payload(self, datum: Datum, op: CopyOp):
+        """Slice assignment between memoized placements (DESIGN.md §7).
+        Buffers are looked up at dispatch, which touches their LRU stamp
+        and sees a buffer regrown since the copy was queued."""
         analyzer = self.analyzer
+        actual, shape = op.actual, datum.shape
 
         def payload() -> None:
             if op.src == HOST:
-                src_arr = datum.host[op.actual.slices()]
+                src_arr = datum.host[actual.slices()]
             else:
-                sbuf = analyzer.buffer(datum, op.src)
-                virt = locate_virtual(sbuf, op.actual, datum.shape)
-                src_arr = sbuf.view(virt)
+                src_arr = read_actual(
+                    analyzer.buffer(datum, op.src), actual, shape
+                )
             if op.dst == HOST:
-                datum.host[op.actual.slices()] = src_arr
+                datum.host[actual.slices()] = src_arr
             else:
-                # A single-device wrap buffer may hold the region both at
-                # its identity position and as a halo image: write every
-                # alias so the buffer never disagrees with itself.
-                dbuf = analyzer.buffer(datum, op.dst)
-                for virt in locate_virtual_all(dbuf, op.actual, datum.shape):
-                    dbuf.view(virt)[...] = src_arr
+                write_actual(
+                    analyzer.buffer(datum, op.dst), actual, shape, src_arr
+                )
 
         return payload
 

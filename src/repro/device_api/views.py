@@ -21,6 +21,7 @@ can observe, classify and report the violation with full context.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,18 +48,6 @@ from repro.patterns.output_patterns import (
 )
 from repro.sim.memory import DeviceBuffer
 from repro.utils.rect import Rect
-
-def _scales(work_shape: Sequence[int], datum_shape: Sequence[int]) -> tuple[int, ...]:
-    return tuple(d // w for w, d in zip(work_shape, datum_shape))
-
-
-def _scaled(work_rect: Rect, scales: Sequence[int]) -> Rect:
-    return Rect(
-        *[
-            (iv.begin * s, iv.end * s)
-            for iv, s in zip(work_rect.intervals, scales)
-        ]
-    )
 
 
 class _Recording:
@@ -147,6 +136,71 @@ def _resolve_dim(
     return runs, mask, None
 
 
+@functools.lru_cache(maxsize=1024)
+def _window_rects(
+    work_shape: tuple[int, ...], datum_shape: tuple[int, ...],
+    work_rect: Rect, radius: tuple[int, ...],
+) -> tuple[Rect, Rect]:
+    """A window's center rect (its work rect scaled to datum
+    coordinates) and its radius-padded rect."""
+    center = Rect(*[
+        (iv.begin * (n // w), iv.end * (n // w))
+        for iv, w, n in zip(work_rect.intervals, work_shape, datum_shape)
+    ])
+    return center, center.expand(list(radius))
+
+
+@functools.lru_cache(maxsize=1024)
+def _gather_plan(
+    want: Rect, extent: Rect, datum_shape: tuple[int, ...],
+    boundary: Boundary, lenient: bool,
+) -> tuple[tuple, tuple, tuple]:
+    """How :meth:`WindowView._gather` materializes ``want`` from a buffer
+    covering ``extent``: the basic index into the buffer, the
+    ``(dim, runs)`` to concatenate and the ``(dim, mask)`` to zero-fill,
+    from :func:`_resolve_dim` per dimension."""
+    index: list[slice] = []
+    split: list[tuple[int, tuple[slice, ...]]] = []
+    zero_masks: list[tuple[int, np.ndarray]] = []
+    for d, (iv, ext, n) in enumerate(
+        zip(want.intervals, extent.intervals, datum_shape)
+    ):
+        runs, mask, unbacked = _resolve_dim(
+            iv.begin, iv.end, ext.begin, ext.end, n, boundary, lenient
+        )
+        if unbacked is not None:
+            raise DeviceError(
+                f"window position {unbacked} (dim {d}) has no backing "
+                f"data in buffer extent {extent} "
+                f"(boundary {boundary.value})"
+            )
+        if mask is None and len(runs) == 1:
+            index.append(runs[0])
+            continue
+        index.append(slice(None))
+        split.append((d, runs))
+        if mask is not None:
+            zero_masks.append((d, mask))
+    return tuple(index), tuple(split), tuple(zero_masks)
+
+
+@functools.lru_cache(maxsize=256)
+def _neighborhood(
+    radius: tuple[int, ...], center_shape: tuple[int, ...],
+    include_center: bool,
+) -> tuple[tuple[tuple[int, ...], tuple[slice, ...]], ...]:
+    """``(offsets, slices into the padded window)`` of every neighbor,
+    in ``itertools.product`` order."""
+    return tuple(
+        (offs, tuple(
+            slice(r + o, r + o + size)
+            for o, r, size in zip(offs, radius, center_shape)
+        ))
+        for offs in itertools.product(*[range(-r, r + 1) for r in radius])
+        if include_center or any(offs)
+    )
+
+
 class WindowView(_Recording):
     """Neighborhood access for Window (ND) inputs.
 
@@ -154,6 +208,10 @@ class WindowView(_Recording):
     the same-shaped region shifted by the given per-dimension offsets
     (|o_d| <= radius_d) — the vectorized equivalent of the paper's
     relative-coordinate iterator access.
+
+    All geometry (the window's rects, the gather plan, the neighbor
+    slices) is memoized on its arguments, so a steady-state launch only
+    slices numpy arrays.
     """
 
     def __init__(
@@ -166,23 +224,22 @@ class WindowView(_Recording):
         index: int = 0,
     ):
         self.container = container
-        datum = container.datum
         self.radius = container.radius
-        scales = _scales(work_shape, datum.shape)
-        self.center_rect = _scaled(work_rect, scales)
+        self._shape = container.datum.shape
+        self.center_rect, padded = _window_rects(
+            tuple(work_shape), self._shape, work_rect, self.radius
+        )
         self._attach(recorder, index)
         self._buffer = buffer
-        self._shape = tuple(datum.shape)
         self._center_shape = self.center_rect.shape
-        self._padded = self._gather(
-            self.center_rect.expand(list(self.radius)), lenient=False
-        )
+        self._padded = self._gather(padded, lenient=False)
 
     def _gather(self, want: Rect, lenient: bool) -> np.ndarray:
         """Materialize an arbitrary virtual-coordinate rect from the buffer.
 
         Each dimension is resolved on its own by :func:`_resolve_dim`
-        into runs of buffer positions. A dimension that resolves to one
+        into runs of buffer positions (the whole plan is memoized by
+        :func:`_gather_plan`). A dimension that resolves to one
         ascending run is indexed with a basic slice; every other
         dimension costs one ``np.concatenate`` of block slices. When
         every dimension slices, the result is a zero-copy view of the
@@ -192,30 +249,10 @@ class WindowView(_Recording):
         and reported instead of aborting the kernel.
         """
         buffer = self._buffer
-        boundary = self.container.boundary
-        index: list[slice] = []
-        split: list[tuple[int, tuple[slice, ...]]] = []
-        zero_masks: list[tuple[int, np.ndarray]] = []
-        for d, (iv, ext, n) in enumerate(
-            zip(want.intervals, buffer.rect.intervals, self._shape)
-        ):
-            runs, mask, unbacked = _resolve_dim(
-                iv.begin, iv.end, ext.begin, ext.end, n, boundary, lenient
-            )
-            if unbacked is not None:
-                raise DeviceError(
-                    f"window position {unbacked} (dim {d}) has no backing "
-                    f"data in buffer extent {buffer.rect} "
-                    f"(boundary {boundary.value})"
-                )
-            if mask is None and len(runs) == 1:
-                index.append(runs[0])
-                continue
-            index.append(slice(None))
-            split.append((d, runs))
-            if mask is not None:
-                zero_masks.append((d, mask))
-        out = buffer.view(buffer.rect)[tuple(index)]
+        index, split, zero_masks = _gather_plan(
+            want, buffer.rect, self._shape, self.container.boundary, lenient
+        )
+        out = buffer.array()[index]
         for d, runs in split:
             head = (slice(None),) * d
             out = np.concatenate([out[head + (run,)] for run in runs], axis=d)
@@ -276,15 +313,15 @@ class WindowView(_Recording):
     def neighborhood_sum(self, include_center: bool = False) -> np.ndarray:
         """Sum over the full window (minus the center unless requested) —
         a convenience for stencil kernels like the Game of Life."""
-        import itertools
-
+        recording = self._recorder is not None
+        padded = self._padded
         acc = None
-        for offs in itertools.product(
-            *[range(-r, r + 1) for r in self.radius]
+        for offs, sl in _neighborhood(
+            self.radius, self._center_shape, include_center
         ):
-            if not include_center and all(o == 0 for o in offs):
-                continue
-            v = self.offset(*offs)
+            if recording:
+                self._note_read(self.center_rect.shift(offs))
+            v = padded[sl]
             if acc is None:
                 acc = v.copy()
             else:

@@ -137,19 +137,3 @@ class OutputContainer(Container):
             f"{self.pattern_name} output cannot imply work dimensions; "
             "pass an explicit grid"
         )
-
-
-def stripe(work_rect: Rect, datum_shape: Sequence[int], dim: int = 0) -> Rect:
-    """Datum rect taking ``work_rect``'s extent in ``dim``, full elsewhere.
-
-    The common shape of structured segmentation: the partitioned work
-    dimension maps 1:1 onto datum dimension ``dim``; all other datum
-    dimensions are kept whole.
-    """
-    ivals = []
-    for d, size in enumerate(datum_shape):
-        if d == dim:
-            ivals.append((work_rect[dim].begin, work_rect[dim].end))
-        else:
-            ivals.append((0, size))
-    return Rect(*ivals)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import PatternMismatchError
-from repro.patterns.base import InputContainer, Requirement, stripe
+from repro.patterns.base import InputContainer, Requirement
 from repro.patterns.boundary import Boundary
 from repro.utils.rect import Rect, split_modular
 

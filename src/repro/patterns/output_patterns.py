@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.errors import PatternMismatchError
-from repro.patterns.base import Aggregation, OutputContainer, stripe
+from repro.patterns.base import Aggregation, OutputContainer
 from repro.utils.rect import Rect
 
 if TYPE_CHECKING:  # pragma: no cover

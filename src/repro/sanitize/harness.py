@@ -47,8 +47,8 @@ class _HarnessBuffer:
     """Minimal stand-in for :class:`repro.sim.memory.DeviceBuffer`.
 
     Backs a full-datum region with a host array; the device-level views
-    only need ``rect``, ``view()``, ``data``/``nbytes`` and an assignable
-    ``dynamic_count``. Input buffers back the *whole* datum so that even
+    only need ``rect``, ``view()``, ``array()``, ``data``/``nbytes`` and an
+    assignable ``dynamic_count``. Input buffers back the *whole* datum so that even
     out-of-footprint reads resolve to real values — the sanitizer observes
     and reports them instead of crashing on a missing halo.
     """
@@ -61,6 +61,9 @@ class _HarnessBuffer:
     @property
     def nbytes(self) -> int:
         return self.data.nbytes
+
+    def array(self) -> np.ndarray:
+        return self.data
 
     def view(self, rect: Rect) -> np.ndarray:
         return self.data[rect.slices()]

@@ -59,17 +59,23 @@ class DeviceBuffer:
     def origin(self) -> tuple[int, ...]:
         return self.rect.begin
 
-    def view(self, region: Rect) -> np.ndarray:
-        """Numpy view of ``region`` (virtual coords); functional mode only."""
+    def array(self) -> np.ndarray:
+        """The whole backing array; functional mode only, never after
+        the buffer is freed."""
         if self.data is None:
             raise DeviceError("buffer has no functional data (timing-only mode)")
         if self.freed:
             raise DeviceError("use after free")
+        return self.data
+
+    def view(self, region: Rect) -> np.ndarray:
+        """Numpy view of ``region`` (virtual coords); functional mode only."""
+        data = self.array()
         if not self.rect.contains(region):
             raise DeviceError(
                 f"region {region} outside buffer extent {self.rect}"
             )
-        return self.data[region.slices(self.origin)]
+        return data[region.slices(self.origin)]
 
 
 class DeviceMemory:

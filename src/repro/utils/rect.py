@@ -401,7 +401,7 @@ def split_modular(rect: Rect, shape: Sequence[int]) -> list[tuple[Rect, Rect]]:
     that distinct virtual pieces may map to the same actual region (a halo
     aliasing the interior when a stripe nearly spans the datum); callers
     that cannot tolerate aliasing detect it via
-    :func:`repro.core.buffers.locate_virtual`.
+    :func:`repro.core.buffers.locate_virtual_all`.
     """
     ndim = rect.ndim
     if len(shape) != ndim:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.buffers import locate_virtual, locate_virtual_all
+from repro.core.buffers import locate_virtual_all
 from repro.errors import DeviceError
 from repro.sim.memory import DeviceBuffer
 from repro.utils.rect import Rect
@@ -67,31 +67,30 @@ class TestLocateVirtualAll:
             expect = brute_force(buffer, actual, shape)
         except DeviceError:
             with pytest.raises(DeviceError, match="maps to no virtual"):
-                locate_virtual_all(buffer, actual, shape)
+                locate_virtual_all(buffer.rect, actual, shape)
             return
-        assert locate_virtual_all(buffer, actual, shape) == expect
+        assert locate_virtual_all(buffer.rect, actual, shape) == expect
 
     def test_single_device_wrap_buffer_aliases_identity_first(self):
         # 8x8 datum, one device holding rows and columns [-1, 9).
         b = buf((-1, 9), (-1, 9))
         corner = Rect((0, 1), (0, 1))
-        got = locate_virtual_all(b, corner, (8, 8))
+        got = locate_virtual_all(b.rect, corner, (8, 8))
         assert got == [
             corner,                   # identity
             Rect((0, 1), (8, 9)),     # halo image right
             Rect((8, 9), (0, 1)),     # halo image below
             Rect((8, 9), (8, 9)),     # diagonal image
         ]
-        assert locate_virtual(b, corner, (8, 8)) == corner
 
     def test_halo_only_placement(self):
         # A multi-device slab: rows [-1, 3) of a 16-row wrapped datum.
         b = buf((-1, 3), (0, 16))
-        assert locate_virtual_all(b, Rect((15, 16), (0, 16)), (16, 16)) == [
+        assert locate_virtual_all(b.rect, Rect((15, 16), (0, 16)), (16, 16)) == [
             Rect((-1, 0), (0, 16))
         ]
 
     def test_no_candidate_raises(self):
         b = buf((-1, 3), (0, 16))
         with pytest.raises(DeviceError, match="maps to no virtual"):
-            locate_virtual_all(b, Rect((8, 9), (0, 16)), (16, 16))
+            locate_virtual_all(b.rect, Rect((8, 9), (0, 16)), (16, 16))

@@ -479,6 +479,49 @@ class TestCaptureGuards:
             sched.invoke(kernel, *cb)
 
 
+class TestSubmitBatch:
+    """``submit_batch`` is the list form of invoking inside a capture."""
+
+    @staticmethod
+    def run(batched, laps=3):
+        node, sched, a, b, kernel, ca, cb = gol_setup()
+        sched.invoke(kernel, *ca)
+        sched.invoke(kernel, *cb)
+        sched.wait_all()
+        g = sched.begin_batch()
+        if batched:
+            handles = sched.submit_batch([(kernel, *ca), (kernel, *cb)])
+        else:
+            handles = [sched.invoke(kernel, *ca), sched.invoke(kernel, *cb)]
+        assert sched.end_batch() is g
+        g.launch(laps)
+        sched.gather_async(a)
+        t = sched.wait_all()
+        return handles, g, a.host.copy(), t, norm_trace(node)
+
+    def test_matches_the_invoke_sequence(self):
+        hb, gb, board_b, tb, rows_b = self.run(batched=True)
+        he, ge, board_e, te, rows_e = self.run(batched=False)
+        assert len(hb) == len(he) == 2
+        assert gb.replayable and ge.replayable, (gb.reason, ge.reason)
+        assert (gb.launches, gb.fast_launches, gb.replayed_laps) == (
+            ge.launches, ge.fast_launches, ge.replayed_laps
+        ) == (1, 1, 3)
+        assert np.array_equal(board_b, gol_expected(2 + 2 + 2 * 3))
+        assert np.array_equal(board_b, board_e)
+        assert tb == te
+        assert rows_b == rows_e
+
+    def test_outside_a_capture_raises(self):
+        node, sched, a, b, kernel, ca, cb = gol_setup()
+        with pytest.raises(GraphCaptureError, match="active capture"):
+            sched.submit_batch([(kernel, *ca)])
+        sched.begin_batch()
+        sched.end_batch()
+        with pytest.raises(GraphCaptureError, match="active capture"):
+            sched.submit_batch([(kernel, *ca)])
+
+
 class TestInvalidation:
     """Scheduler-state changes bump the graph generation; stale graphs
     fall back to eager replay, bit-identically."""
