@@ -267,6 +267,35 @@ class TestHedgedTransfers:
         )
         assert t_on <= t_off
 
+    def test_speculations_and_hedges_share_one_budget(self, monkeypatch):
+        # A one-action budget already spent on a speculation: a transfer
+        # alarm that has an alternate replica runs slow, and the first one
+        # without an alternate finds the budget exhausted.
+        slow = []
+        run_slow = Scheduler._run_slow
+
+        def spy(self, alarm):
+            slow.append(alarm.kind)
+            run_slow(self, alarm)
+
+        monkeypatch.setattr(Scheduler, "_run_slow", spy)
+        # The link degrades once the first checkpoint is on the host, so
+        # the first alarms are halo copies the host can serve instead.
+        _, t_ckpt, _, _ = run_gol(n=512, iters=1, checkpoint=True,
+                                  functional=False)
+        fp = FaultPlan(
+            stragglers=[
+                Straggler(device=1, bandwidth_factor=6.0, start=t_ckpt)
+            ],
+            mitigate_stragglers=True,
+            max_speculations=1,
+        )
+        fp.speculations_fired = 1
+        with pytest.raises(StragglerTimeoutError):
+            run_gol(fp, n=512, iters=4, checkpoint=True)
+        assert fp.hedges_fired == 0
+        assert "transfer" in slow
+
     def test_timeout_when_no_replica_and_no_budget(self):
         # Without checkpoints the degraded device holds the only replica
         # of its segment, and a zero budget leaves nothing to try.
