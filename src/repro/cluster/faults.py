@@ -54,7 +54,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.sim.faults import FaultPlan
+from repro.sim.faults import (
+    FaultPlan,
+    capped_backoff,
+    in_window,
+    link_fault,
+    on_link,
+)
 
 
 @dataclass(frozen=True)
@@ -364,7 +370,7 @@ class ClusterFaultPlan:
     # -- partitions ----------------------------------------------------------
     def _active_partition(self, now: float) -> Partition | None:
         for p in self.partitions:
-            if p.start <= now < p.end:
+            if in_window(now, p.start, p.end):
                 return p
         return None
 
@@ -412,20 +418,10 @@ class ClusterFaultPlan:
         rate is set, draws from the plan's RNG. Call exactly once per
         send attempt.
         """
-        fault = False
-        for spec in self.link_faults:
-            if spec.src is not None and spec.src != src:
-                continue
-            if spec.dst is not None and spec.dst != dst:
-                continue
-            key = (spec.src, spec.dst)
-            n = self._link_counts.get(key, 0) + 1
-            self._link_counts[key] = n
-            if spec.nth <= n < spec.nth + spec.count:
-                fault = True
-        if self.link_fault_rate > 0.0:
-            if self.rng.random() < self.link_fault_rate:
-                fault = True
+        fault = link_fault(
+            self.link_faults, self._link_counts, self.rng,
+            self.link_fault_rate, src, dst,
+        )
         if fault:
             self.link_faults_fired += 1
         return fault
@@ -435,31 +431,22 @@ class ClusterFaultPlan:
         """Worst active slowdown factor for a ``src -> dst`` message."""
         worst = 1.0
         for s in self._slow:
-            if s.src is not None and s.src != src:
-                continue
-            if s.dst is not None and s.dst != dst:
-                continue
-            if now < s.start or (s.end is not None and now >= s.end):
-                continue
-            worst = max(worst, s.factor)
+            if on_link(s, src, dst) and in_window(now, s.start, s.end):
+                worst = max(worst, s.factor)
         return worst
 
     # -- retry policy --------------------------------------------------------
     def backoff(self, attempt: int) -> float:
         """Cluster-time delay before retry ``attempt`` (1-based):
         capped exponential ``min(retry_base * 2**(attempt-1), retry_cap)``."""
-        if attempt < 1:
-            raise ValueError("attempt is 1-based")
-        return min(self.retry_base * (2.0 ** (attempt - 1)), self.retry_cap)
+        return capped_backoff(self.retry_base, self.retry_cap, attempt)
 
     def rejoin_backoff(self, flap: int) -> float:
         """Cluster-time delay between a node's ``flap``-th repair
         announcement (1-based) and the start of its probation window:
         capped exponential ``min(rejoin_base * 2**(flap-1), rejoin_cap)``
         — repeat offenders wait longer (flap damping)."""
-        if flap < 1:
-            raise ValueError("flap is 1-based")
-        return min(self.rejoin_base * (2.0 ** (flap - 1)), self.rejoin_cap)
+        return capped_backoff(self.rejoin_base, self.rejoin_cap, flap)
 
     # -- checkpoint policy ----------------------------------------------------
     def replicas_for(self, live_nodes: int) -> int:

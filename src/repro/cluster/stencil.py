@@ -115,13 +115,6 @@ class ClusterStencil:
         return self.master.agents
 
     @property
-    def nodes(self):
-        """Per-node simulators, in node-id order (compat accessor)."""
-        return [
-            self.master.agents[i].node for i in sorted(self.master.agents)
-        ]
-
-    @property
     def events(self):
         """Typed failure errors the master detected, in order."""
         return self.master.events

@@ -46,6 +46,7 @@ from repro.server.jobs import (
     TenantQuota,
 )
 from repro.server.workloads import Workload
+from repro.sim.faults import capped_backoff
 from repro.sim.node import SimNode
 
 _QUEUED = (PENDING, PREEMPTED)
@@ -580,8 +581,8 @@ class JobServer:
                 job, err, f"failed for good after {self.max_requeues} requeues"
             )
             return
-        backoff = min(
-            self.requeue_base * (2.0 ** (job.requeues - 1)), self.requeue_cap
+        backoff = capped_backoff(
+            self.requeue_base, self.requeue_cap, job.requeues
         )
         job.not_before = now + backoff
         job.state = PENDING
