@@ -136,6 +136,15 @@ class LocationMonitor:
         #: :meth:`mark_read` folded during the captured period.
         self.fold_log: set[tuple[int, int]] | None = None
 
+    def share(self, store) -> None:
+        """Use the state-id and transition tables of ``store`` (the node's
+        :class:`~repro.core.plan.PlanStore`) instead of private ones. Shared
+        plans key their copy memos by these state ids, so every monitor on
+        the node must number geometries alike; transitions are geometry
+        only and replay for any monitor. Call before the first mutation."""
+        self._geom_ids = store.geom_ids
+        self._transitions = store.transitions
+
     # -- state access ------------------------------------------------------
     def _st(self, datum: "Datum") -> _DatumState:
         st = self._state.get(id(datum))

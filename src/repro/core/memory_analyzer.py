@@ -19,13 +19,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.errors import AllocationError, AnalysisError
+from repro.core.plan import build_plan
 from repro.core.task import Task
-from repro.patterns.base import InputContainer, OutputContainer
 from repro.sim.memory import DeviceBuffer
 from repro.utils.rect import Rect
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.datum import Datum
+    from repro.core.plan import TaskPlan
     from repro.sim.node import SimNode
 
 
@@ -47,40 +48,38 @@ class MemoryAnalyzer:
         task: Task,
         devices: tuple[int, ...] | None = None,
         weights: tuple[int, ...] | None = None,
+        plan: "TaskPlan | None" = None,
     ) -> None:
         """Fold one task's per-device requirements into the boxes.
 
         ``devices`` is the alive device set the task is segmented across
         (default: all of the node's devices); ``weights`` selects the
         ratio-aware split of the straggler feedback loop (DESIGN.md §11)
-        and must match the segmentation the plan will use. Must be called
-        (via ``Scheduler.AnalyzeCall``) before any dependent invocation;
-        invoking an unanalyzed task raises
-        :class:`~repro.errors.AnalysisError`.
+        and must match the segmentation the plan will use. The rects come
+        from ``plan``, the task's invocation plan for that segmentation
+        (built here when not given), so analysis and invocation derive
+        them in one place. Must be called (via ``Scheduler.AnalyzeCall``)
+        before any dependent invocation; invoking an unanalyzed task
+        raises :class:`~repro.errors.AnalysisError`.
         """
-        if devices is None:
-            devices = tuple(range(self.node.num_gpus))
-        if weights is None:
-            partition = task.grid.partition(len(devices))
-        else:
-            partition = task.grid.partition_weighted(weights)
-        for device, work_rect in zip(devices, partition):
-            if work_rect.empty:
-                continue
-            for c in task.containers:
-                if isinstance(c, InputContainer):
-                    rect = c.required(task.grid.shape, work_rect).virtual
-                elif isinstance(c, OutputContainer):
-                    rect = c.owned(task.grid.shape, work_rect)
-                else:  # pragma: no cover - Container is abstract
-                    continue
-                self._merge(c.datum, device, rect)
+        if plan is None:
+            if devices is None:
+                devices = tuple(range(self.node.num_gpus))
+            plan = build_plan(task, devices, weights=weights)
+        for d, dp in plan.device_plans.items():
+            for c, req in zip(task.inputs, dp.input_reqs):
+                self._merge(c.datum, d, req.virtual)
+            for c, rect in zip(task.outputs, dp.output_rects):
+                self._merge(c.datum, d, rect)
 
     def _merge(self, datum: "Datum", device: int, rect: Rect) -> None:
         key = (id(datum), device)
         self._datums[id(datum)] = datum
         prev = self._boxes.get(key)
-        self._boxes[key] = rect if prev is None else prev.hull(rect)
+        if prev is None:
+            self._boxes[key] = rect
+        elif not prev.contains(rect):
+            self._boxes[key] = prev.hull(rect)
 
     # -- queries ---------------------------------------------------------------
     def analyzed(self, datum: "Datum", device: int) -> bool:
@@ -130,12 +129,29 @@ class MemoryAnalyzer:
                 f"{device}, but only {box} was analyzed/allocated"
             )
 
+    def check_plan(self, task: Task, plan: "TaskPlan") -> None:
+        """:meth:`check_within` for every rect of ``plan`` bound to
+        ``task``'s datums. Plans are datum-free templates shared by every
+        scheduler on a node, so each invocation validates the one it
+        binds against this analyzer's boxes."""
+        boxes = self._boxes
+        for d, dp in plan.device_plans.items():
+            for c, req in zip(task.inputs, dp.input_reqs):
+                box = boxes.get((id(c.datum), d))
+                if box is None or not box.contains(req.virtual):
+                    self.check_within(c.datum, d, req.virtual)
+            for c, rect in zip(task.outputs, dp.output_rects):
+                box = boxes.get((id(c.datum), d))
+                if box is None or not box.contains(rect):
+                    self.check_within(c.datum, d, rect)
+
     def ensure(
         self,
         task: Task,
         devices: tuple[int, ...] | None = None,
         oom_handler=None,
         weights: tuple[int, ...] | None = None,
+        plan: "TaskPlan | None" = None,
     ) -> None:
         """Analyze a task at invocation time, growing any live allocation
         whose bounding box expanded (the §8 "automated memory analysis"
@@ -150,7 +166,7 @@ class MemoryAnalyzer:
         grow (the handler evicted this very buffer; it will be re-staged
         lazily), anything else must raise.
         """
-        self.analyze(task, devices, weights=weights)
+        self.analyze(task, devices, weights=weights, plan=plan)
         self._grow_buffers(oom_handler)
 
     def _grow_buffers(self, oom_handler=None) -> None:

@@ -4,17 +4,28 @@ The paper's flagship workloads are iterative — every Game-of-Life tick, NMF
 multiplicative update and LeNet batch re-submits a task with the *same*
 kernel, containers, grid and device count. The geometry the scheduler
 derives for such a task (grid partition, per-device ``required``/``owned``
-rects, peer-preference order) is a pure function of that signature, so it
-is computed once and replayed on every subsequent ``Invoke``. Only the
-residency-dependent part — the Segment Location Monitor's copy planning —
-runs per invocation.
+rects, peer-preference order) is a pure function of the task's
+*structure*, so it is computed once and replayed on every subsequent
+``Invoke``. Only the residency-dependent part — the Segment Location
+Monitor's copy planning — runs per invocation.
 
-A :class:`TaskPlan` is keyed by :func:`task_signature`: kernel identity,
-per-container pattern type + parameters + datum identity/shape/dtype, the
-grid, and the active device count. Changing any of these (a different
-datum, a reshaped grid, another node size) yields a different key, so stale
-plans are never replayed; the cache holds strong references to the kernel
-and datums so the ``id()``-based components of the key cannot be recycled.
+A :class:`TaskPlan` is keyed by :func:`task_signature`: the grid, the
+device set (and straggler weights), and per container its pattern type,
+pattern parameters, datum shape and dtype, plus a slot-aliasing tuple
+saying which containers name the same datum. No datum or kernel identity
+enters the key, so a plan is a datum-free template: Game of Life's
+``A→B`` and ``B→A`` ticks share one, and so do two job-server leases that
+submit the same structure over fresh datums.
+
+Templates live in one :class:`PlanStore` per :class:`~repro.sim.SimNode`
+(:meth:`PlanCache.shared`), shared by every ``Scheduler`` on that node
+together with the location monitor's geometry tables
+(``TaskPlan.copy_memo`` is keyed by monitor state ids, so the three share
+one lifetime). A template is bound to a scheduler's kernel and datums at
+lookup: the first use of each binding validates it against that
+scheduler's analyzed boxes (``MemoryAnalyzer.check_plan``), and the
+binding keeps the per-job state — kernel durations and out-of-core chunk
+plans — out of the shared store.
 
 Plan caching changes *wall-clock* host cost only. Simulated time is
 unaffected: the scheduler charges the same modelled host overhead per
@@ -26,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Hashable, Mapping
+from weakref import WeakKeyDictionary
 
 from repro.patterns.base import Requirement
 from repro.utils.rect import Rect
@@ -33,6 +45,7 @@ from repro.utils.rect import Rect
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.task import Task
     from repro.patterns.base import Container
+    from repro.sim.node import SimNode
 
 
 class Uncacheable(Exception):
@@ -50,22 +63,18 @@ def _freeze(value: Any) -> Hashable:
 
 def container_signature(c: "Container") -> tuple:
     """Stable signature of one container: pattern type + parameters +
-    datum identity, shape and dtype.
+    datum shape and dtype (never the datum's identity).
 
     Pattern parameters are taken from the instance dict (``radius``,
     ``boundary``, ``ilp``, ``op``, ...), so new pattern classes participate
-    without registration; an unhashable parameter raises
-    :class:`Uncacheable` and the invocation bypasses the cache.
+    without registration; an unhashable parameter makes the task
+    signature :class:`Uncacheable` and the invocation bypasses the cache.
     """
-    params = tuple(
-        (k, _freeze(v)) for k, v in sorted(vars(c).items()) if k != "datum"
-    )
     return (
         type(c).__qualname__,
-        id(c.datum),
         c.datum.shape,
         c.datum.dtype.str,
-        params,
+        tuple(sorted((k, v) for k, v in vars(c).items() if k != "datum")),
     )
 
 
@@ -86,21 +95,31 @@ def task_signature(
 ) -> tuple:
     """The plan-cache key for one task submission (see module docstring).
 
+    The aliasing tuple gives, per container, the index of the first
+    container holding the same datum: an in-place task (one datum read
+    and written) and an out-of-place one differ in residency behaviour,
+    so they never share a plan's copy memo.
+
     ``weights`` is the quantized per-device throughput-ratio vector the
     straggler-feedback loop segments by (DESIGN.md §11); it is part of the
     key, so plans built for a different observed ratio are re-keyed, never
     replayed — a plan cached under the even split (``weights=None``) is
     re-hit as soon as the node heals.
     """
+    first: dict[int, int] = {}
     sig = (
-        id(task.kernel),
         task.grid.shape,
         task.grid.block0,
         _device_tuple(devices),
         tuple(container_signature(c) for c in task.containers),
+        tuple(
+            first.setdefault(id(c.datum), i)
+            for i, c in enumerate(task.containers)
+        ),
     )
     if weights is not None:
         sig += (tuple(weights),)
+    _freeze(sig)
     return sig
 
 
@@ -128,30 +147,22 @@ class DevicePlan:
     peers: tuple[int, ...]
 
 
-@dataclass
+@dataclass(eq=False)
 class TaskPlan:
-    """Everything signature-determined about scheduling one task.
+    """Everything structure-determined about scheduling one task.
 
-    The plan pins the objects its signature refers to by identity
-    (``kernel``, ``datums``) so Python cannot recycle their ids while the
-    plan is cached.
+    Holds geometry only — no datum, kernel or host array — so one plan
+    serves every task of its signature on the node. Each scheduler keeps
+    its per-job state (kernel durations, chunk plans) in a binding of the
+    plan to its kernel and datums.
     """
 
     signature: tuple
-    kernel: Any
-    datums: tuple
-    grid_shape: tuple[int, ...]
-    partition: list[Rect]
     active: tuple[int, ...]
     device_plans: dict[int, DevicePlan]
     #: Per-input consumer rects {device: virtual rect} for the device-level
     #: reduce-scatter path (aligned with ``task.inputs``).
     consumer_rects: tuple[dict[int, Rect], ...]
-    #: Modelled host-side scheduling overhead charged per invocation
-    #: (identical on build and replay — see module docstring).
-    host_overhead: float = 0.0
-    #: frozen-constants key -> {device: kernel duration}.
-    durations: dict[tuple, dict[int, float]] = field(default_factory=dict)
     #: Memoized location-monitor copy decisions for steady-state replay:
     #: ``(input_index, device, residency fingerprint) ->
     #: tuple[(src, src_index, rect), ...]``. Iterative workloads cycle
@@ -160,23 +171,17 @@ class TaskPlan:
     #: skipped, only the (per-iteration) producer events are re-read. A
     #: state never seen before falls back to ``compute_copies``, so this is
     #: still "copy computation against current residency", just memoized.
-    #: Bounded by ``COPY_MEMO_LIMIT``; exists only while the plan itself is
-    #: cached, so the uncached baseline (fresh plan per invocation) cannot
-    #: carry decisions across invocations.
+    #: Fingerprints are state ids of the node's shared geometry table, so
+    #: decisions recorded by one scheduler replay for another. Bounded by
+    #: ``COPY_MEMO_LIMIT``; exists only while the plan itself is cached, so
+    #: the uncached baseline (fresh plan per invocation) cannot carry
+    #: decisions across invocations.
     copy_memo: dict[tuple, tuple] = field(default_factory=dict)
-    #: Whether to memoize copy decisions: set by the scheduler only when
-    #: the plan was actually stored in a cache. A one-shot plan (cache
-    #: disabled, or unhashable signature) cannot be replayed, so computing
-    #: fingerprints for it would be pure overhead.
+    #: Set by :meth:`PlanCache.store` once an invocation has run the plan:
+    #: from then on lookups hit and copy decisions are memoized. A template
+    #: only ``analyze_call`` has derived so far, and a one-shot plan (cache
+    #: disabled, or unhashable signature), stay False.
     memoize: bool = False
-    replays: int = 0
-    #: Out-of-core chunk plans per device (DESIGN.md §10). Pressure state is
-    #: deliberately NOT part of the cache key: every replay attempts the
-    #: in-core path first and falls into chunking only when the allocation
-    #: actually fails, so a cached plan self-heals when memory frees up; a
-    #: cached chunk plan is revalidated against the device's *current*
-    #: ``free_bytes`` before reuse and rebuilt when stale.
-    chunk_plans: dict[int, "ChunkPlan"] = field(default_factory=dict)
 
 
 #: Upper bound on memoized copy decisions per plan. Steady-state iterative
@@ -189,7 +194,7 @@ COPY_MEMO_LIMIT = 512
 def build_plan(task: "Task", devices: "int | tuple[int, ...]", analyzer=None,
                peers_of=None, weights=None) -> TaskPlan:
     """Compute a task's invocation plan (the slow path, run once per
-    signature).
+    signature and node).
 
     ``devices`` is the alive device set the work is segmented across (an
     int means the first N devices). Pure geometry: partitions the grid and
@@ -197,9 +202,9 @@ def build_plan(task: "Task", devices: "int | tuple[int, ...]", analyzer=None,
     device. With ``weights`` (the quantized observed-throughput ratio
     vector, aligned with ``devices``), the grid is split proportionally
     instead of evenly — the ratio-aware segmenter of the straggler
-    feedback loop (DESIGN.md §11). When ``analyzer`` is given, each rect
-    is validated against the analyzed allocation boxes (``check_within``)
-    so replays can skip re-validation. No commands are enqueued and no
+    feedback loop (DESIGN.md §11). When ``analyzer`` is given, the plan is
+    validated against its analyzed allocation boxes
+    (``MemoryAnalyzer.check_plan``). No commands are enqueued and no
     monitor state is touched.
     """
     devices = _device_tuple(devices)
@@ -211,44 +216,34 @@ def build_plan(task: "Task", devices: "int | tuple[int, ...]", analyzer=None,
         partition = task.grid.partition(len(devices))
     else:
         partition = task.grid.partition_weighted(weights)
-    active = tuple(
-        d for d, w in zip(devices, partition) if not w.empty
-    )
-    work_rects = dict(zip(devices, partition))
     device_plans: dict[int, DevicePlan] = {}
     inputs = task.inputs
     outputs = task.outputs
     work_shape = task.grid.shape
-    for d in active:
-        w = work_rects[d]
-        reqs = tuple(c.required(work_shape, w) for c in inputs)
-        owned = tuple(c.owned(work_shape, w) for c in outputs)
-        if analyzer is not None:
-            for c, req in zip(inputs, reqs):
-                analyzer.check_within(c.datum, d, req.virtual)
-            for c, rect in zip(outputs, owned):
-                analyzer.check_within(c.datum, d, rect)
+    for d, w in zip(devices, partition):
+        if w.empty:
+            continue
         device_plans[d] = DevicePlan(
             device=d,
             work_rect=w,
-            input_reqs=reqs,
-            output_rects=owned,
+            input_reqs=tuple(c.required(work_shape, w) for c in inputs),
+            output_rects=tuple(c.owned(work_shape, w) for c in outputs),
             peers=tuple(peers_of(d)) if peers_of is not None else (),
         )
+    active = tuple(device_plans)
     consumer_rects = tuple(
         {d: device_plans[d].input_reqs[i].virtual for d in active}
         for i in range(len(inputs))
     )
-    return TaskPlan(
+    plan = TaskPlan(
         signature=signature,
-        kernel=task.kernel,
-        datums=tuple(c.datum for c in task.containers),
-        grid_shape=work_shape,
-        partition=partition,
         active=active,
         device_plans=device_plans,
         consumer_rects=consumer_rects,
     )
+    if analyzer is not None:
+        analyzer.check_plan(task, plan)
+    return plan
 
 
 @dataclass(frozen=True)
@@ -434,9 +429,36 @@ def build_chunk_plan(
     )
 
 
-class PlanCache:
-    """Signature-keyed store of :class:`TaskPlan` objects.
+#: Upper bound on the plans a node's store holds. Past it, new structures
+#: get one-shot plans (built per invocation, never stored), as the monitor
+#: stops assigning state ids at ``_GEOM_LIMIT``.
+PLAN_LIMIT = 4096
 
+
+class PlanStore:
+    """The datum-free scheduling templates shared by every scheduler on
+    one node: plans keyed by structure, plus the location monitor's
+    geometry state ids and memoized transitions (see module docstring).
+    Holds rects, ints and positions only — no datum, event or array."""
+
+    def __init__(self) -> None:
+        self.plans: dict[tuple, TaskPlan] = {}
+        #: ``LocationMonitor`` tables: geometry fingerprint -> state id,
+        #: and (state id, kind, loc, rect) -> (post state id, template).
+        self.geom_ids: dict[tuple, int] = {}
+        self.transitions: dict[tuple, tuple[int, tuple]] = {}
+
+
+#: One store per node, created on first use; it lives and dies with the
+#: node.
+_STORES: "WeakKeyDictionary[SimNode, PlanStore]" = WeakKeyDictionary()
+
+
+class PlanCache:
+    """One scheduler's view of a :class:`PlanStore`, with its own lookup
+    counters (each lookup is counted once, by the cache that made it).
+
+    ``PlanCache()`` owns a private store; :meth:`shared` binds the node's.
     ``enabled=False`` turns the scheduler into the uncached baseline: every
     invocation rebuilds its plan from scratch (and nothing is stored), which
     is what ``python -m repro.bench --overhead`` measures against.
@@ -444,13 +466,31 @@ class PlanCache:
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self._plans: dict[tuple, TaskPlan] = {}
+        self._store = PlanStore()
+        self._plans = self._store.plans
         self.hits = 0
         self.misses = 0
         self.bypasses = 0
         #: Invocations satisfied by iteration-graph replay (DESIGN.md §12)
         #: without even a cache lookup — the macro-command fast path.
         self.graph_hits = 0
+
+    @classmethod
+    def shared(cls, node: "SimNode") -> "PlanCache":
+        """A cache over ``node``'s store, shared with every other
+        scheduler on the node."""
+        store = _STORES.get(node)
+        if store is None:
+            store = _STORES[node] = PlanStore()
+        cache = cls()
+        cache._store = store
+        cache._plans = store.plans
+        return cache
+
+    @property
+    def templates(self) -> PlanStore:
+        """The store this cache reads and writes."""
+        return self._store
 
     def __len__(self) -> int:
         return len(self._plans)
@@ -461,7 +501,11 @@ class PlanCache:
         devices: "int | tuple[int, ...]",
         weights: "tuple[int, ...] | None" = None,
     ) -> TaskPlan | None:
-        """The cached plan for ``task``'s signature, or None."""
+        """The stored plan for ``task``'s structure, or None.
+
+        A hit is a plan some invocation on this node already ran; a
+        template only ``analyze_call`` derived so far is a miss (the caller
+        then takes it from :meth:`template` without rebuilding)."""
         if not self.enabled:
             self.misses += 1
             return None
@@ -471,20 +515,46 @@ class PlanCache:
             self.bypasses += 1
             return None
         plan = self._plans.get(key)
-        if plan is None:
+        if plan is None or not plan.memoize:
             self.misses += 1
             return None
         self.hits += 1
-        plan.replays += 1
+        return plan
+
+    def template(
+        self,
+        task: "Task",
+        devices: "int | tuple[int, ...]",
+        weights: "tuple[int, ...] | None" = None,
+        peers_of=None,
+    ) -> TaskPlan:
+        """``task``'s plan from the store, else built (and stored, within
+        :data:`PLAN_LIMIT`). Not a lookup: the counters do not move. The
+        analyzer sizes its boxes from this plan, so analysis and invocation
+        derive per-device rects once, in one place."""
+        plan = None
+        if self.enabled:
+            try:
+                plan = self._plans.get(task_signature(task, devices, weights))
+            except Uncacheable:
+                pass
+        if plan is None:
+            plan = build_plan(task, devices, peers_of=peers_of, weights=weights)
+            if (self.enabled and plan.signature
+                    and len(self._plans) < PLAN_LIMIT):
+                self._plans[plan.signature] = plan
         return plan
 
     def store(self, plan: TaskPlan) -> None:
-        if self.enabled and plan.signature:
-            self._plans[plan.signature] = plan
-            plan.memoize = True
-
-    def clear(self) -> None:
-        self._plans.clear()
+        """Mark ``plan`` replayable: store it (within :data:`PLAN_LIMIT`)
+        and let later lookups hit it."""
+        if not (self.enabled and plan.signature):
+            return
+        plans = self._plans
+        if plan.signature not in plans and len(plans) >= PLAN_LIMIT:
+            return
+        plans[plan.signature] = plan
+        plan.memoize = True
 
     def invalidate_device(self, device: int) -> int:
         """Drop every plan that segments work onto ``device`` (fault

@@ -51,7 +51,6 @@ from repro.core.plan import (
     PlanCache,
     TaskPlan,
     build_chunk_plan,
-    build_plan,
     freeze_constants,
 )
 from repro.core.task import CostContext, Kernel, Task, TaskHandle
@@ -59,6 +58,7 @@ from repro.device_api.context import KernelContext
 from repro.device_api.views import make_view
 from repro.errors import (
     AllocationError,
+    AnalysisError,
     CapacityError,
     DeviceFault,
     GraphCaptureError,
@@ -125,6 +125,23 @@ class _KernelOrigin:
     dev_events: dict
     num_active: int
     alarmed: bool = False
+
+
+@dataclass
+class _Binding:
+    """A node-shared plan bound to one kernel and datum tuple of this
+    scheduler: validated once against the analyzed boxes, and home of the
+    per-job state the shared store must not hold. Cost closures are built
+    per job and may read datum attributes, so kernel durations are kept
+    here; chunk plans depend on this lease's memory history."""
+
+    #: The kernel and containers whose ids key the binding, kept alive so
+    #: those ids cannot be recycled while it exists.
+    pins: tuple
+    #: frozen-constants key -> {device: kernel duration}.
+    durations: dict[tuple, dict[int, float]] = field(default_factory=dict)
+    #: device -> out-of-core chunk plan (DESIGN.md §10).
+    chunk_plans: dict[int, ChunkPlan] = field(default_factory=dict)
 
 
 @dataclass
@@ -199,11 +216,18 @@ class Scheduler:
         self.monitor = LocationMonitor()
         # One knob controls all cross-invocation amortization: with the
         # plan cache off, the location monitor's transition memoization is
-        # off too, so every invocation recomputes from scratch (the honest
-        # uncached baseline for `repro.bench --overhead`).
+        # off too and nothing is shared with the node's other schedulers,
+        # so every invocation recomputes from scratch (the honest uncached
+        # baseline for `repro.bench --overhead`).
         self.monitor.amortize = plan_cache
-        self.plans = PlanCache(enabled=plan_cache)
+        if plan_cache:
+            self.plans = PlanCache.shared(node)
+            self.monitor.share(self.plans.templates)
+        else:
+            self.plans = PlanCache(enabled=False)
         self._peer_cache: dict[int, list[int]] = {}
+        #: (plan, kernel id, datum ids...) -> _Binding, for stored plans.
+        self._bindings: dict[tuple, _Binding] = {}
         g = node.num_gpus
         self._compute = [
             node.new_stream(d, "compute", f"gpu{d}.compute") for d in range(g)
@@ -349,7 +373,10 @@ class Scheduler:
         self._no_capture("analyze_call")
         task = Task(kernel, containers, grid, constants)
         self._refresh_weights()
-        self.analyzer.analyze(task, self._alive, weights=self._weights)
+        self.analyzer.analyze(
+            task, self._alive, weights=self._weights,
+            plan=self._template(task),
+        )
         self._analyzed.append(task)
         self.node.host_advance(self.node.interconnect.scheduler_container_overhead)
         return task
@@ -475,6 +502,7 @@ class Scheduler:
         ``wait_all``. The host clock advances to the task's completion
         time, as the calling host thread blocks until then.
         """
+        self._check_live()
         self._no_capture("wait")
         if handle is None or not isinstance(handle, TaskHandle) \
                 or handle.task is None:
@@ -638,24 +666,42 @@ class Scheduler:
                     raise
                 self._recover(e.device, self.node.time)
 
+    def _template(self, task: Task) -> TaskPlan:
+        """The task's plan for the current segmentation, from the node's
+        store or built (the slow path, once per structure and node)."""
+        return self.plans.template(
+            task, self._alive, weights=self._weights, peers_of=self._peers
+        )
+
     def _lookup_or_build(self, task: Task) -> TaskPlan:
         self._refresh_weights()
         plan = self.plans.lookup(task, self._alive, weights=self._weights)
         if plan is None:
-            # Slow path: runs once per task signature (or every time with
-            # the cache disabled). The implicit analysis must precede plan
-            # construction, which validates rects against analyzed boxes.
-            if self.auto_analyze:
-                self.analyzer.ensure(task, self._alive, weights=self._weights)
-            plan = build_plan(
-                task, self._alive,
-                analyzer=self.analyzer, peers_of=self._peers,
-                weights=self._weights,
-            )
+            plan = self._template(task)
             if not plan.active:
                 raise SchedulingError(f"task {task.name} has an empty grid")
             self.plans.store(plan)
+        # Bind the shared plan to this task's kernel and datums: every rect
+        # must lie inside this scheduler's analyzed boxes (§4.2). In auto
+        # mode a shortfall is the implicit analysis. Boxes only grow while
+        # the plan's devices live, so each binding is checked once.
+        key = self._binding_key(task, plan)
+        if key not in self._bindings:
+            try:
+                self.analyzer.check_plan(task, plan)
+            except AnalysisError:
+                if not self.auto_analyze:
+                    raise
+                self.analyzer.ensure(
+                    task, self._alive, weights=self._weights, plan=plan
+                )
+            if plan.memoize:
+                self._bindings[key] = _Binding((task.kernel, task.containers))
         return plan
+
+    @staticmethod
+    def _binding_key(task: Task, plan: TaskPlan) -> tuple:
+        return (plan, id(task.kernel), *[id(c.datum) for c in task.containers])
 
     def _replay(
         self, task: Task, plan: TaskPlan, handle: TaskHandle | None = None
@@ -821,24 +867,28 @@ class Scheduler:
         return handle
 
     def _durations(self, task: Task, plan: TaskPlan) -> dict[int, float]:
-        """Per-device kernel durations, cached per frozen constants.
+        """Per-device kernel durations, cached per binding and frozen
+        constants.
 
-        Cost models are functions of the work rect, container shapes, task
-        constants and the device calibration — all captured by the plan
-        signature plus the constants key — so the result is reused across
-        replays; unhashable constants force recomputation.
+        Cost models are functions of the work rect, the containers, task
+        constants and the device calibration — all captured by the binding
+        plus the constants key — so the result is reused across replays;
+        unhashable constants and one-shot plans force recomputation.
         """
         key = freeze_constants(task.constants)
+        binding = None
         if key is not None:
-            cached = plan.durations.get(key)
+            binding = self._bindings.get(self._binding_key(task, plan))
+        if binding is not None:
+            cached = binding.durations.get(key)
             if cached is not None:
                 return cached
         durations = {
             d: self._duration(task, d, plan.device_plans[d].work_rect)
             for d in plan.active
         }
-        if key is not None:
-            plan.durations[key] = durations
+        if binding is not None:
+            binding.durations[key] = durations
         return durations
 
     def _duration(self, task: Task, device: int, work_rect: Rect) -> float:
@@ -908,7 +958,8 @@ class Scheduler:
         self._weights = w
         for t in self._analyzed:
             self.analyzer.ensure(
-                t, self._alive, oom_handler=self._recovery_oom, weights=w
+                t, self._alive, oom_handler=self._recovery_oom, weights=w,
+                plan=self._template(t),
             )
 
     # -- memory pressure (DESIGN.md §10) --------------------------------------------
@@ -998,13 +1049,15 @@ class Scheduler:
                     device=device,
                 ) from e
         budget = memory.free_bytes
-        cp = plan.chunk_plans.get(device)
+        binding = self._bindings.get(self._binding_key(task, plan))
+        chunk_plans = binding.chunk_plans if binding is not None else {}
+        cp = chunk_plans.get(device)
         if cp is None or cp.footprint > budget:
             cp = build_chunk_plan(
                 task, device, plan.device_plans[device].work_rect,
                 budget, memory.capacity,
             )
-            plan.chunk_plans[device] = cp
+            chunk_plans[device] = cp
         node.trace.add(TraceRecord(
             kind="event",
             label=(
@@ -2184,7 +2237,7 @@ class Scheduler:
         for t in self._analyzed:
             self.analyzer.ensure(
                 t, self._alive, oom_handler=self._recovery_oom,
-                weights=self._weights,
+                weights=self._weights, plan=self._template(t),
             )
 
     def _resubmit(self) -> None:

@@ -503,3 +503,20 @@ class TestPaperAliases:
         sched.Gather(b)
         sched.WaitAll()
         assert (b.host == 0).all()  # all-ones board dies everywhere
+
+
+class TestReleasedScheduler:
+    def test_wait_after_release_raises(self):
+        """``wait`` on a released scheduler raises the promised
+        SchedulingError instead of draining the node's other streams."""
+        node = SimNode(GTX_780, 2, functional=True)
+        sched = Scheduler(node)
+        n = 16
+        a = Matrix(n, n, np.int32, "A").bind(np.ones((n, n), np.int32))
+        b = Matrix(n, n, np.int32, "B").bind(np.zeros((n, n), np.int32))
+        k = make_gol_kernel()
+        sched.analyze_call(k, Window2D(a, 1, WRAP), StructuredInjective(b))
+        handle = sched.invoke(k, Window2D(a, 1, WRAP), StructuredInjective(b))
+        sched.release()
+        with pytest.raises(SchedulingError, match="released"):
+            sched.wait(handle)
